@@ -166,10 +166,11 @@ coord-smoke:
 	@echo "coord-smoke: ok"
 
 # Short fuzz pass over the parsers / compiled-kernel round trip and the
-# Sort dispatcher vs slices.Sort differential.
+# Sort and batch façades vs slices.Sort differentials.
 fuzz:
 	$(GO) test ./internal/network/ -run FuzzCompileEval -fuzz FuzzCompileEval -fuzztime 20s
 	$(GO) test . -run FuzzSortT -fuzz FuzzSortT -fuzztime 20s
+	$(GO) test . -run FuzzSortBatch -fuzz FuzzSortBatch -fuzztime 20s
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -10,7 +10,7 @@
 //
 // The -preset form regenerates the committed sortkernels/ package:
 // one kernel per width 2..16 from the curated depth-optimal networks
-// (netbuild.BestKnown), for every element family and every emission
+// (netbuild.BestKnown), for every kernel family and every emission
 // mode — the per-slice scalar kernels plus the batch kernels (pure-Go
 // columnar/row-major, and the AVX-512 columnar kernels with their
 // transpose helpers on amd64). `make netgen-check` regenerates into a
@@ -101,15 +101,20 @@ var sortkernelsDoc = []string{
 	"Package sortkernels holds branchless sorting-network kernels for",
 	"widths 2..16, generated from the curated depth-optimal networks in",
 	"internal/netbuild. Each kernel keeps the whole slice in locals and",
-	"applies a fixed compare-exchange schedule, level by level, with no",
-	"data-dependent branches on the integer families — the comparator",
-	"count is the depth-optimal network's size, and the level grouping",
-	"leaves independent exchanges adjacent for the CPU to overlap.",
+	"applies a fixed compare-exchange schedule, level by level — the",
+	"comparator count is the depth-optimal network's size, and the level",
+	"grouping leaves independent exchanges adjacent for the CPU to",
+	"overlap.",
 	"",
-	"The batch entry points (Batch<Kind>, BatchFlat<Kind>) sort many",
-	"same-width slices per call: column-major and row-major pure-Go",
-	"kernels for every width, plus AVX-512 columnar kernels and layout",
-	"transposes on amd64, selected at init when the CPU supports them.",
+	"The kernels come in one generic family per exchange idiom, and the",
+	"entry points (Ordered, Func, Batch, BatchFlat) pick the family by",
+	"element type: int, uint64 and float64 take the min/max kernels",
+	"(conditional moves, no data-dependent branches), every other",
+	"cmp.Ordered type the compare-and-swap kernels, and Func a less",
+	"callback. The batch entry points sort many same-width slices per",
+	"call: column-major and row-major pure-Go kernels for every width,",
+	"plus AVX-512 columnar kernels and layout transposes on amd64,",
+	"selected at init when the CPU supports them.",
 	"",
 	"Regenerate with `make netgen`; `make netgen-check` fails the build",
 	"if the committed files drift from what cmd/netgen emits.",

@@ -19,7 +19,7 @@ package netgen
 // so any m works. The transpose helpers (8x8 qword transpose via
 // VPUNPCKL/HQDQ + two VSHUFI64X2 stages; widths 9..16 as two 8-column
 // blocks) convert the row-major layout to columns and back, which is
-// what makes the SIMD kernels reachable from BatchFlat<Kind>.
+// what makes the SIMD kernels reachable from BatchFlat.
 //
 // Tail masks throughout: K-register masked loads (.Z) never touch
 // memory past the slice, masked stores never write lanes beyond the
@@ -60,25 +60,47 @@ func (a *asmBuf) comment(format string, args ...any) {
 	fmt.Fprintf(&a.b, "\t// "+format+"\n", args...)
 }
 
-// simdColsName is the asm symbol of one width's columnar kernel.
-func simdColsName(n int, kind Kind) string {
-	return fmt.Sprintf("simdCols%d%s", n, kind)
+// simdElem is an element type the AVX-512 kernels serve. The Go side
+// runs all three through the MinMax family; the assembly picks its own
+// signed, unsigned or float64 instructions per type.
+type simdElem int
+
+const (
+	simdInt simdElem = iota
+	simdUint64
+	simdFloat64
+)
+
+// simdElems lists the SIMD element types, in emission order (which is
+// also their row order in the generated simdCols table).
+var simdElems = []simdElem{simdInt, simdUint64, simdFloat64}
+
+func (e simdElem) String() string {
+	return [...]string{"Int", "Uint64", "Float64"}[e]
 }
 
-// genBatchAmd64 emits batch_amd64.s and batch_amd64.go for the
-// concrete batch families, covering the widths in simdWidths.
-func genBatchAmd64(opts Options, concrete []Kind, kernels []kernel) (asmSrc, goSrc []byte, err error) {
+// elem returns the Go element type.
+func (e simdElem) elem() string { return strings.ToLower(e.String()) }
+
+// simdColsName is the asm symbol of one width's columnar kernel.
+func simdColsName(n int, e simdElem) string {
+	return fmt.Sprintf("simdCols%d%s", n, e)
+}
+
+// genBatchAmd64 emits batch_amd64.s and batch_amd64.go for the SIMD
+// element types, covering the widths in simdWidths.
+func genBatchAmd64(opts Options, kernels []kernel) (asmSrc, goSrc []byte, err error) {
 	widths := simdWidths(kernels)
 	var a asmBuf
 	a.raw("// Code generated by %q; DO NOT EDIT.\n\n", opts.Command)
 	a.raw("#include \"textflag.h\"\n")
-	for _, kind := range concrete {
+	for _, e := range simdElems {
 		for _, k := range kernels {
 			if k.n > 16 {
 				continue
 			}
 			a.raw("\n")
-			emitSIMDColsKernel(&a, kind, k)
+			emitSIMDColsKernel(&a, e, k)
 		}
 	}
 	for _, n := range widths {
@@ -90,7 +112,7 @@ func genBatchAmd64(opts Options, concrete []Kind, kernels []kernel) (asmSrc, goS
 	a.raw("\n")
 	emitCPUFuncs(&a)
 
-	goSrc, err = genBatchAmd64Go(opts, concrete, widths)
+	goSrc, err = genBatchAmd64Go(opts, widths)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -99,9 +121,9 @@ func genBatchAmd64(opts Options, concrete []Kind, kernels []kernel) (asmSrc, goS
 
 // emitSIMDColsKernel emits one columnar AVX-512 kernel: eight rows per
 // iteration, whole schedule in registers, k-masked tail.
-func emitSIMDColsKernel(a *asmBuf, kind Kind, k kernel) {
-	name := simdColsName(k.n, kind)
-	a.raw("// func %s(base *%s, m int)\n", name, kind.elem())
+func emitSIMDColsKernel(a *asmBuf, e simdElem, k kernel) {
+	name := simdColsName(k.n, e)
+	a.raw("// func %s(base *%s, m int)\n", name, e.elem())
 	a.raw("// Column-major batch sort, %d columns of length m at base; depth %d,\n// size %d. Eight rows per iteration; m mod 8 under a k-mask.\n", k.n, k.depth, k.size)
 	a.raw("TEXT ·%s(SB), NOSPLIT, $0-16\n", name)
 	a.ins("MOVQ base+0(FP), SI")
@@ -153,21 +175,19 @@ func emitSIMDColsKernel(a *asmBuf, kind Kind, k kernel) {
 			lo, hi := p[0], p[1]
 			rl, rh := cur[lo], cur[hi]
 			t := z.get()
-			switch kind {
-			case KindInt:
+			switch e {
+			case simdInt:
 				a.ins("VPMINSQ Z%d, Z%d, Z%d", rl, rh, t)
 				a.ins("VPMAXSQ Z%d, Z%d, Z%d", rl, rh, rh)
-			case KindUint64:
+			case simdUint64:
 				a.ins("VPMINUQ Z%d, Z%d, Z%d", rl, rh, t)
 				a.ins("VPMAXUQ Z%d, Z%d, Z%d", rl, rh, rh)
-			case KindFloat64:
+			case simdFloat64:
 				// k = lo < hi; min = k ? lo : hi; max = k ? hi : lo.
 				// Exact bit blends: the ±0 multiset is preserved.
 				a.ins("VCMPPD $0x11, Z%d, Z%d, K2", rh, rl)
 				a.ins("VBLENDMPD Z%d, Z%d, K2, Z%d", rl, rh, t)
 				a.ins("VBLENDMPD Z%d, Z%d, K2, Z%d", rh, rl, rh)
-			default:
-				panic("netgen: no SIMD kernel for kind " + kind.String())
 			}
 			z.put(rl)
 			cur[lo] = t
@@ -432,18 +452,18 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 }
 
 // genBatchAmd64Go emits batch_amd64.go: the //go:noescape declarations
-// matching the asm, typed wrappers, CPU feature detection, and the
-// init that plugs everything into the dispatch tables.
-func genBatchAmd64Go(opts Options, concrete []Kind, widths []int) ([]byte, error) {
+// matching the asm, CPU feature detection, and the init that plugs the
+// kernels and transposes into the tables of batch.go.
+func genBatchAmd64Go(opts Options, widths []int) ([]byte, error) {
 	var b strings.Builder
 	header(opts, &b)
-	b.WriteString("// AVX-512 hooks of the batch kernels: feature detection and the\n// typed shims that init plugs into the dispatch tables of batch.go.\n")
+	b.WriteString("// AVX-512 hooks of the batch kernels: feature detection and the\n// assembly kernels that init plugs into the tables of batch.go. The\n// kernels take their column base as an untyped pointer, so one table\n// serves every 64-bit element type.\n")
 	fmt.Fprintf(&b, "package %s\n\n", opts.Package)
 	b.WriteString("import \"unsafe\"\n\n")
 
-	for _, kind := range concrete {
+	for _, e := range simdElems {
 		for _, n := range widths {
-			fmt.Fprintf(&b, "//go:noescape\nfunc %s(base *%s, m int)\n\n", simdColsName(n, kind), kind.elem())
+			fmt.Fprintf(&b, "//go:noescape\nfunc %s(base unsafe.Pointer, m int)\n\n", simdColsName(n, e))
 		}
 	}
 	for _, n := range widths {
@@ -451,12 +471,6 @@ func genBatchAmd64Go(opts Options, concrete []Kind, widths []int) ([]byte, error
 		fmt.Fprintf(&b, "//go:noescape\nfunc simdTransFrom%d(dst, src unsafe.Pointer, m int)\n\n", n)
 	}
 	b.WriteString("func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)\n\nfunc xgetbv0() (eax, edx uint32)\n\n")
-
-	for _, kind := range concrete {
-		for _, n := range widths {
-			fmt.Fprintf(&b, "func simdBatchCols%d%s(data []%s, m int) { %s(&data[0], m) }\n\n", n, kind, kind.elem(), simdColsName(n, kind))
-		}
-	}
 
 	b.WriteString(`// batchDetectAVX512 reports whether the CPU and OS support the
 // AVX-512 batch kernels: AVX512F plus OS-managed xmm/ymm/opmask/zmm
@@ -488,9 +502,9 @@ func init() {
 	batchSIMDAvail = true
 	batchSIMDOn = true
 `)
-	for _, kind := range concrete {
+	for _, e := range simdElems {
 		for _, n := range widths {
-			fmt.Fprintf(&b, "\tsimdCols%sKernels[%d] = simdBatchCols%d%s\n", kind, n, n, kind)
+			fmt.Fprintf(&b, "\tsimdCols[simd%s][%d] = %s\n", e, n, simdColsName(n, e))
 		}
 	}
 	for _, n := range widths {

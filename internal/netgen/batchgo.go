@@ -1,15 +1,15 @@
 package netgen
 
 // Pure-Go batch kernel emission (ModeBatch): for every width and
-// element family, two fused kernels that sort many small slices per
+// batch family, two fused kernels that sort many small slices per
 // call —
 //
 //   - batchCols<N><Kind>(data, m): column-major ("vertical") layout,
 //     column w at data[w*m:(w+1)*m], logical row r = {data[w*m+r]}w.
 //     One loop over rows; the whole comparator schedule runs on locals
 //     per row, so the comparator cost is amortized over the batch with
-//     no per-slice dispatch and no data-dependent branches on the
-//     integer families.
+//     no per-slice dispatch and, in the MinMax family, no
+//     data-dependent branches.
 //   - batchFlat<N><Kind>(data, m): row-major layout, row r contiguous
 //     at data[r*n:(r+1)*n]. Same fused schedule, one slice-header bound
 //     check per row instead of per call.
@@ -23,10 +23,10 @@ import (
 	"strings"
 )
 
-// batchKinds lists the element families that get batch kernels: the
-// Func family is excluded (a per-element comparison callback defeats
-// the point of a fused batch pass).
-var batchKinds = []Kind{KindInt, KindUint64, KindFloat64, KindOrdered}
+// batchKinds lists the families that get batch kernels: the Func
+// family is excluded (a per-element comparison callback defeats the
+// point of a fused batch pass).
+var batchKinds = []Kind{KindMinMax, KindSwap}
 
 // batchFile returns the generated file holding one family's batch
 // kernels.
@@ -34,80 +34,63 @@ func (k Kind) batchFile() string {
 	return "batch_" + strings.ToLower(k.String()) + ".go"
 }
 
-// genBatchKindFile emits every batch kernel of one family.
-func genBatchKindFile(opts Options, kind Kind, kernels []kernel) ([]byte, error) {
+// genBatchKindFile emits every batch kernel of one family, as the file
+// name the family lives in plus its contents.
+func genBatchKindFile(opts Options, kind Kind, kernels []kernel) (string, []byte, error) {
 	var b strings.Builder
 	header(opts, &b)
-	fmt.Fprintf(&b, "package %s\n\n", opts.Package)
-	if kind == KindOrdered {
-		b.WriteString("import \"cmp\"\n\n")
-	}
+	fmt.Fprintf(&b, "package %s\n\nimport \"cmp\"\n\n", opts.Package)
 	for i, k := range kernels {
 		if i > 0 {
 			b.WriteString("\n")
 		}
-		genBatchColsKernel(&b, kind, k)
+		genBatchKernel(&b, kind, k, false)
 		b.WriteString("\n")
-		genBatchFlatKernel(&b, kind, k)
+		genBatchKernel(&b, kind, k, true)
 	}
-	return gofmt(b.String(), kind.batchFile())
+	src, err := gofmt(b.String(), kind.batchFile())
+	return kind.batchFile(), src, err
 }
 
-// batchExchange emits one compare-exchange on the locals v<lo>, v<hi>.
-//
-// The integer families use the min/max builtins (conditional moves).
-// Float64 uses them too: builtin min/max on floats is branchless on
-// amd64 and keeps the bit multiset on ±0 (min prefers -0, max +0) —
-// but it would turn one NaN into two, so the batch float kernels
-// require NaN-free input (the shufflenet façade prescans). The Ordered
-// family keeps the compare-and-swap `if`: one comparison per exchange,
-// correct for every ordered type.
-func batchExchange(b *strings.Builder, kind Kind, lo, hi int) {
-	switch kind {
-	case KindInt, KindUint64, KindFloat64:
-		fmt.Fprintf(b, "\t\tv%d, v%d = min(v%d, v%d), max(v%d, v%d)\n", lo, hi, lo, hi, lo, hi)
-	default: // ordered
-		fmt.Fprintf(b, "\t\tif v%d < v%d {\n\t\t\tv%d, v%d = v%d, v%d\n\t\t}\n", hi, lo, lo, hi, hi, lo)
+// genBatchKernel emits the column-major (flat false) or row-major
+// (flat true) fused kernel of one width.
+func genBatchKernel(b *strings.Builder, kind Kind, k kernel, flat bool) {
+	// elem(w) is the expression of slot w of the current row.
+	var name string
+	var elem func(w int) string
+	if flat {
+		name = fmt.Sprintf("batchFlat%d%s", k.n, kind)
+		fmt.Fprintf(b, "// %s sorts each of the m contiguous width-%d rows of a\n", name, k.n)
+		fmt.Fprintf(b, "// row-major batch in place: row r is data[r*%d:(r+1)*%d].\n", k.n, k.n)
+		elem = func(w int) string { return fmt.Sprintf("s[%d]", w) }
+	} else {
+		name = fmt.Sprintf("batchCols%d%s", k.n, kind)
+		fmt.Fprintf(b, "// %s sorts each of the m rows of a %d-column\n", name, k.n)
+		fmt.Fprintf(b, "// column-major batch: column w is data[w*m:(w+1)*m], row r is the\n")
+		fmt.Fprintf(b, "// %d values {data[w*m+r]}. Depth %d, size %d", k.n, k.depth, k.size)
+		if k.note != "" {
+			fmt.Fprintf(b, ", %s", k.note)
+		}
+		b.WriteString(".\n")
+		elem = func(w int) string { return fmt.Sprintf("c%d[r]", w) }
 	}
-}
-
-// genBatchColsKernel emits the column-major fused kernel of one width.
-func genBatchColsKernel(b *strings.Builder, kind Kind, k kernel) {
-	name := fmt.Sprintf("batchCols%d%s", k.n, kind)
-	fmt.Fprintf(b, "// %s sorts each of the m rows of a %d-column\n", name, k.n)
-	fmt.Fprintf(b, "// column-major batch: column w is data[w*m:(w+1)*m], row r is the\n")
-	fmt.Fprintf(b, "// %d values {data[w*m+r]}. Depth %d, size %d", k.n, k.depth, k.size)
-	if k.note != "" {
-		fmt.Fprintf(b, ", %s", k.note)
+	if kind == KindMinMax {
+		b.WriteString("// Float input must be NaN-free (callers prescan); ±0 bit patterns\n// are preserved as a multiset.\n")
 	}
-	b.WriteString(".\n")
-	if kind == KindFloat64 {
-		b.WriteString("// Input must be NaN-free (callers prescan); ±0 bit patterns are\n// preserved as a multiset.\n")
+	fmt.Fprintf(b, "func %s%s(data []T, m int) {\n", name, kind.typeParams())
+	if flat {
+		b.WriteString("\tfor r := 0; r < m; r++ {\n")
+		fmt.Fprintf(b, "\t\ts := data[r*%d : r*%d+%d : r*%d+%d]\n", k.n, k.n, k.n, k.n, k.n)
+	} else {
+		for w := 0; w < k.n; w++ {
+			fmt.Fprintf(b, "\tc%d := data[%d*m : %d*m]\n", w, w, w+1)
+		}
+		b.WriteString("\tfor r := range c0 {\n")
 	}
-	switch kind {
-	case KindOrdered:
-		fmt.Fprintf(b, "func %s[T cmp.Ordered](data []T, m int) {\n", name)
-	default:
-		fmt.Fprintf(b, "func %s(data []%s, m int) {\n", name, kind.elem())
-	}
-	for w := 0; w < k.n; w++ {
-		fmt.Fprintf(b, "\tc%d := data[%d*m : %d*m]\n", w, w, w+1)
-	}
-	b.WriteString("\tfor r := range c0 {\n")
 	b.WriteString("\t\t")
-	for w := 0; w < k.n; w++ {
-		if w > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "v%d", w)
-	}
+	writeList(b, k.n, func(w int) string { return fmt.Sprintf("v%d", w) })
 	b.WriteString(" := ")
-	for w := 0; w < k.n; w++ {
-		if w > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "c%d[r]", w)
-	}
+	writeList(b, k.n, elem)
 	b.WriteString("\n")
 	for li, lv := range k.levels {
 		if len(lv) == 0 {
@@ -115,79 +98,12 @@ func genBatchColsKernel(b *strings.Builder, kind Kind, k kernel) {
 		}
 		fmt.Fprintf(b, "\n\t\t// level %d\n", li+1)
 		for _, p := range lv {
-			batchExchange(b, kind, p[0], p[1])
+			kind.exchange(b, "\t\t", p[0], p[1])
 		}
 	}
 	b.WriteString("\n\t\t")
-	for w := 0; w < k.n; w++ {
-		if w > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "c%d[r]", w)
-	}
+	writeList(b, k.n, elem)
 	b.WriteString(" = ")
-	for w := 0; w < k.n; w++ {
-		if w > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "v%d", k.outPerm[w])
-	}
-	b.WriteString("\n\t}\n}\n")
-}
-
-// genBatchFlatKernel emits the row-major fused kernel of one width.
-func genBatchFlatKernel(b *strings.Builder, kind Kind, k kernel) {
-	name := fmt.Sprintf("batchFlat%d%s", k.n, kind)
-	fmt.Fprintf(b, "// %s sorts each of the m contiguous width-%d rows of a\n", name, k.n)
-	fmt.Fprintf(b, "// row-major batch in place: row r is data[r*%d:(r+1)*%d].\n", k.n, k.n)
-	if kind == KindFloat64 {
-		b.WriteString("// Input must be NaN-free (callers prescan).\n")
-	}
-	switch kind {
-	case KindOrdered:
-		fmt.Fprintf(b, "func %s[T cmp.Ordered](data []T, m int) {\n", name)
-	default:
-		fmt.Fprintf(b, "func %s(data []%s, m int) {\n", name, kind.elem())
-	}
-	fmt.Fprintf(b, "\tfor r := 0; r < m; r++ {\n")
-	fmt.Fprintf(b, "\t\ts := data[r*%d : r*%d+%d : r*%d+%d]\n", k.n, k.n, k.n, k.n, k.n)
-	b.WriteString("\t\t")
-	for w := 0; w < k.n; w++ {
-		if w > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "v%d", w)
-	}
-	b.WriteString(" := ")
-	for w := 0; w < k.n; w++ {
-		if w > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "s[%d]", w)
-	}
-	b.WriteString("\n")
-	for li, lv := range k.levels {
-		if len(lv) == 0 {
-			continue
-		}
-		fmt.Fprintf(b, "\n\t\t// level %d\n", li+1)
-		for _, p := range lv {
-			batchExchange(b, kind, p[0], p[1])
-		}
-	}
-	b.WriteString("\n\t\t")
-	for w := 0; w < k.n; w++ {
-		if w > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "s[%d]", w)
-	}
-	b.WriteString(" = ")
-	for w := 0; w < k.n; w++ {
-		if w > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "v%d", k.outPerm[w])
-	}
+	writeList(b, k.n, func(w int) string { return fmt.Sprintf("v%d", k.outPerm[w]) })
 	b.WriteString("\n\t}\n}\n")
 }

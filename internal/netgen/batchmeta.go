@@ -1,43 +1,16 @@
 package netgen
 
 // Batch meta-file emission (ModeBatch): "batch.go" carries the public
-// batch API of the generated package — shape validation, dispatch
-// tables over the pure-Go kernels, the SIMD hook tables that
-// batch_amd64.go fills in at init when AVX-512 is available, the
-// pooled transpose scratch behind the row-major entry points, and the
-// SetBatchSIMD test/bench toggle.
+// batch API of the generated package — shape validation, the generic
+// Batch/BatchFlat entry points and their per-family width dispatchers,
+// the SIMD kernel table that batch_amd64.go fills in at init when
+// AVX-512 is available, the pooled transpose scratch behind the
+// row-major SIMD path, and the SetBatchSIMD test/bench toggle.
 
 import (
 	"fmt"
 	"strings"
 )
-
-// concreteBatchKinds filters kinds down to the non-generic batch
-// families, in emission order.
-func concreteBatchKinds(kinds []Kind) []Kind {
-	var out []Kind
-	for _, k := range batchKinds {
-		if k == KindOrdered {
-			continue
-		}
-		for _, want := range kinds {
-			if k == want {
-				out = append(out, k)
-				break
-			}
-		}
-	}
-	return out
-}
-
-func hasKind(kinds []Kind, want Kind) bool {
-	for _, k := range kinds {
-		if k == want {
-			return true
-		}
-	}
-	return false
-}
 
 // simdWidths lists the kernel widths that get AVX-512 columnar kernels
 // and transpose helpers: every element is a 64-bit scalar, eight lanes
@@ -53,51 +26,31 @@ func simdWidths(kernels []kernel) []int {
 }
 
 // genBatchMetaFile emits "batch.go".
-func genBatchMetaFile(opts Options, kinds []Kind, kernels []kernel) ([]byte, error) {
-	concrete := concreteBatchKinds(kinds)
-	ordered := hasKind(kinds, KindOrdered)
-	simd := len(concrete) > 0 && len(simdWidths(kernels)) > 0
+func genBatchMetaFile(opts Options, kernels []kernel) (string, []byte, error) {
+	simd := len(simdWidths(kernels)) > 0
 
 	var b strings.Builder
 	header(opts, &b)
-	b.WriteString("// Batch entry points: sort many same-width slices per call.\n")
-	b.WriteString("//\n")
-	b.WriteString("// Batch<Kind> takes the column-major (\"vertical\") layout — data holds\n")
-	b.WriteString("// n columns of length m, column w at data[w*m:(w+1)*m], and logical\n")
-	b.WriteString("// row r is the n values {data[w*m+r]}. Every row is sorted in place.\n")
-	b.WriteString("// BatchFlat<Kind> takes the row-major layout — m contiguous rows of\n")
-	b.WriteString("// width n. Both report whether a kernel of that width was available;\n")
-	b.WriteString("// on false the data is untouched.\n")
+	b.WriteString(`// Batch entry points: sort many same-width slices per call.
+//
+// Batch takes the column-major ("vertical") layout — data holds n
+// columns of length m, column w at data[w*m:(w+1)*m], and logical row
+// r is the n values {data[w*m+r]}. Every row is sorted in place.
+// BatchFlat takes the row-major layout — m contiguous rows of width n.
+// Both report whether a kernel of that width was available; on false
+// the data is untouched.
+`)
 	fmt.Fprintf(&b, "package %s\n\n", opts.Package)
-
-	var imports []string
-	if ordered {
-		imports = append(imports, "cmp")
-	}
 	if simd {
-		imports = append(imports, "sync", "unsafe")
-	}
-	switch len(imports) {
-	case 0:
-	case 1:
-		fmt.Fprintf(&b, "import %q\n\n", imports[0])
-	default:
-		b.WriteString("import (\n")
-		for _, im := range imports {
-			fmt.Fprintf(&b, "\t%q\n", im)
-		}
-		b.WriteString(")\n\n")
+		b.WriteString("import (\n\t\"cmp\"\n\t\"sync\"\n\t\"unsafe\"\n)\n\n")
+	} else {
+		b.WriteString("import \"cmp\"\n\n")
 	}
 
 	minW, maxW := kernels[0].n, kernels[len(kernels)-1].n
 	fmt.Fprintf(&b, "// Batch kernel widths span [BatchMinWidth, BatchMaxWidth];\n// BatchWidths lists the ones actually present.\nconst (\n\tBatchMinWidth = %d\n\tBatchMaxWidth = %d\n)\n\n", minW, maxW)
 	b.WriteString("// BatchWidths returns the batch kernel widths available, ascending.\nfunc BatchWidths() []int {\n\treturn []int{")
-	for i, k := range kernels {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d", k.n)
-	}
+	writeList(&b, len(kernels), func(i int) string { return fmt.Sprint(kernels[i].n) })
 	b.WriteString("}\n}\n\n")
 
 	// SIMD switches. Emitted even without SIMD kernels so the API is
@@ -163,103 +116,119 @@ func batchFlatDims(lenData, width, maxWidth int) (m int, trivial, ok bool) {
 
 `)
 
+	// simdArg threads the element type's row of simdCols through to the
+	// min/max dispatchers; without SIMD kernels it vanishes.
+	simdArg := func(row string) string {
+		if !simd {
+			return ""
+		}
+		return ", " + row
+	}
 	if simd {
-		b.WriteString(`// batchTransTo and batchTransFrom hold the AVX-512 transpose helpers
-// between the row-major and column-major layouts (filled in by the
-// amd64 init; element type is any 64-bit scalar, hence the untyped
-// pointers). batchTransTo[n] gathers m rows of width n into columns;
-// batchTransFrom[n] scatters them back.
+		b.WriteString("// Rows of simdCols: the element types the AVX-512 kernels serve.\nconst (\n")
+		for i, e := range simdElems {
+			if i == 0 {
+				fmt.Fprintf(&b, "\tsimd%s = iota\n", e)
+			} else {
+				fmt.Fprintf(&b, "\tsimd%s\n", e)
+			}
+		}
+		b.WriteString(")\n\n")
+		fmt.Fprintf(&b, `// simdCols holds the AVX-512 columnar kernels by element type and
+// width, and batchTransTo and batchTransFrom the transposes between the
+// row-major and column-major layouts: batchTransTo[n] gathers m rows of
+// width n into columns, batchTransFrom[n] scatters them back. The amd64
+// init fills them in when the CPU supports AVX-512; every element is a
+// 64-bit scalar, hence the untyped pointers.
 var (
+	simdCols       [%d][BatchMaxWidth + 1]func(base unsafe.Pointer, m int)
 	batchTransTo   [BatchMaxWidth + 1]func(dst, src unsafe.Pointer, m int)
 	batchTransFrom [BatchMaxWidth + 1]func(dst, src unsafe.Pointer, m int)
 )
 
-`)
+// batchScratch pools the column-major scratch of the row-major SIMD
+// path, shared by the 64-bit element types.
+var batchScratch = sync.Pool{New: func() any { return new([]uint64) }}
+
+`, len(simdElems))
 	}
 
-	for _, kind := range concrete {
-		elem := kind.elem()
-		// Go dispatch tables.
-		fmt.Fprintf(&b, "var batchCols%sKernels = [BatchMaxWidth + 1]func(data []%s, m int){\n", kind, elem)
-		for _, k := range kernels {
-			fmt.Fprintf(&b, "\t%d: batchCols%d%s,\n", k.n, k.n, kind)
+	for _, l := range []struct{ fn, param, dims, count, width, prefix, doc string }{
+		{"Batch", "m", "batchDims", "n", "n", "cols", `// Batch sorts, in place, every row of the column-major batch: data
+// holds len(data)/m columns of length m, column w at
+// data[w*m:(w+1)*m]. It reports whether a kernel of that width was
+// available; on false the data is untouched.`},
+		{"BatchFlat", "width", "batchFlatDims", "m", "width", "flat", `// BatchFlat sorts, in place, every row of the row-major batch: data
+// holds len(data)/width contiguous rows of the given width. It
+// reports whether a kernel of that width was available; on false the
+// data is untouched.`},
+	} {
+		fmt.Fprintf(&b, `%s
+//
+// The element type picks the exchange idiom: int, uint64 and float64
+// take the min/max kernels, every other type the compare-and-swap
+// kernels. Float64 input must be NaN-free (callers prescan); ±0 bit
+// patterns are preserved as a multiset.
+func %s[T cmp.Ordered](data []T, %s int) bool {
+	%s, trivial, ok := %s(len(data), %s, BatchMaxWidth)
+	if !ok {
+		return false
+	}
+	if trivial {
+		return true
+	}
+	switch v := any(data).(type) {
+`, l.doc, l.fn, l.param, l.count, l.dims, l.param)
+		// The min/max element types are exactly the ones the AVX-512
+		// kernels serve.
+		for _, e := range simdElems {
+			fmt.Fprintf(&b, "\tcase []%s:\n\t\treturn %sMinMax(v, m, %s%s)\n", e.elem(), l.prefix, l.width, simdArg(fmt.Sprint("simd", e)))
 		}
-		b.WriteString("}\n\n")
-		fmt.Fprintf(&b, "var batchFlat%sKernels = [BatchMaxWidth + 1]func(data []%s, m int){\n", kind, elem)
-		for _, k := range kernels {
-			fmt.Fprintf(&b, "\t%d: batchFlat%d%s,\n", k.n, k.n, kind)
-		}
-		b.WriteString("}\n\n")
-		if simd {
-			fmt.Fprintf(&b, "// simdCols%sKernels is filled in by the amd64 init when AVX-512 is\n// available.\nvar simdCols%sKernels [BatchMaxWidth + 1]func(data []%s, m int)\n\n", kind, kind, elem)
-			fmt.Fprintf(&b, "var batchScratch%s = sync.Pool{New: func() any { return new([]%s) }}\n\n", kind, elem)
-		}
+		fmt.Fprintf(&b, "\t}\n\treturn %sSwap(data, m, %s)\n}\n\n", l.prefix, l.width)
+	}
 
-		// Batch<Kind> (column-major).
-		fmt.Fprintf(&b, "// Batch%s sorts, in place, every row of the column-major batch:\n", kind)
-		fmt.Fprintf(&b, "// data holds len(data)/m columns of length m, column w at\n// data[w*m:(w+1)*m]. It reports whether a kernel of that width was\n// available; on false the data is untouched.\n")
-		if kind == KindFloat64 {
-			b.WriteString("// Input must be NaN-free (shufflenet.SortBatch prescans); ±0 bit\n// patterns are preserved as a multiset.\n")
-		}
-		fmt.Fprintf(&b, "func Batch%s(data []%s, m int) bool {\n", kind, elem)
-		b.WriteString("\tn, trivial, ok := batchDims(len(data), m, BatchMaxWidth)\n\tif !ok {\n\t\treturn false\n\t}\n\tif trivial {\n\t\treturn true\n\t}\n")
-		if simd {
-			fmt.Fprintf(&b, "\tif batchSIMDOn {\n\t\tif k := simdCols%sKernels[n]; k != nil {\n\t\t\tk(data, m)\n\t\t\treturn true\n\t\t}\n\t}\n", kind)
-		}
-		fmt.Fprintf(&b, "\tif k := batchCols%sKernels[n]; k != nil {\n\t\tk(data, m)\n\t\treturn true\n\t}\n\treturn false\n}\n\n", kind)
-
-		// BatchFlat<Kind> (row-major).
-		fmt.Fprintf(&b, "// BatchFlat%s sorts, in place, every row of the row-major batch:\n", kind)
-		fmt.Fprintf(&b, "// data holds len(data)/width contiguous rows of the given width. It\n// reports whether a kernel of that width was available; on false the\n// data is untouched.\n")
-		if kind == KindFloat64 {
-			b.WriteString("// Input must be NaN-free (shufflenet.SortBatchFlat prescans).\n")
-		}
-		fmt.Fprintf(&b, "func BatchFlat%s(data []%s, width int) bool {\n", kind, elem)
-		b.WriteString("\tm, trivial, ok := batchFlatDims(len(data), width, BatchMaxWidth)\n\tif !ok {\n\t\treturn false\n\t}\n\tif trivial {\n\t\treturn true\n\t}\n")
-		if simd {
-			fmt.Fprintf(&b, `	if batchSIMDOn {
-		if k := simdCols%sKernels[width]; k != nil && batchTransTo[width] != nil {
-			sp := batchScratch%s.Get().(*[]%s)
+	// Width dispatchers, one per layout and family. The min/max ones try
+	// the AVX-512 kernel first.
+	for _, kind := range batchKinds {
+		for _, flat := range []bool{false, true} {
+			layout, kernelName := "cols", "batchCols%d%s(data, m)"
+			what := "column-major"
+			if flat {
+				layout, kernelName, what = "flat", "batchFlat%d%s(data, m)", "row-major"
+			}
+			fmt.Fprintf(&b, "// %s%s runs the width-n %s %s kernel", layout, kind, what, kind)
+			params := ""
+			if kind == KindMinMax && simd {
+				params = ", simd"
+				b.WriteString(":\n// the AVX-512 one of element type simd when enabled, the pure-Go one\n// otherwise.\n")
+			} else {
+				b.WriteString(".\n")
+			}
+			fmt.Fprintf(&b, "func %s%s[T cmp.Ordered](data []T, m, n%s int) bool {\n", layout, kind, params)
+			if kind == KindMinMax && simd {
+				b.WriteString("\tif batchSIMDOn {\n\t\tif k := simdCols[simd][n]; k != nil {\n")
+				if flat {
+					b.WriteString(`			sp := batchScratch.Get().(*[]uint64)
 			s := *sp
 			if cap(s) < len(data) {
-				s = make([]%s, len(data))
+				s = make([]uint64, len(data))
 			}
 			s = s[:len(data)]
-			batchTransTo[width](unsafe.Pointer(&s[0]), unsafe.Pointer(&data[0]), m)
-			k(s, m)
-			batchTransFrom[width](unsafe.Pointer(&data[0]), unsafe.Pointer(&s[0]), m)
+			batchTransTo[n](unsafe.Pointer(&s[0]), unsafe.Pointer(&data[0]), m)
+			k(unsafe.Pointer(&s[0]), m)
+			batchTransFrom[n](unsafe.Pointer(&data[0]), unsafe.Pointer(&s[0]), m)
 			*sp = s
-			batchScratch%s.Put(sp)
-			return true
+			batchScratch.Put(sp)
+`)
+				} else {
+					b.WriteString("\t\t\tk(unsafe.Pointer(&data[0]), m)\n")
+				}
+				b.WriteString("\t\t\treturn true\n\t\t}\n\t}\n")
+			}
+			genSwitch(&b, "n", false, kernels, func(n int) string { return fmt.Sprintf(kernelName, n, kind) })
 		}
 	}
-`, kind, kind, elem, elem, kind)
-		}
-		fmt.Fprintf(&b, "\tif k := batchFlat%sKernels[width]; k != nil {\n\t\tk(data, m)\n\t\treturn true\n\t}\n\treturn false\n}\n\n", kind)
 
-		// Accessors.
-		fmt.Fprintf(&b, "// Batch%sKernel returns the width-n column-major batch kernel that a\n// Batch%s call would run right now (AVX-512 when enabled), or nil when\n// none exists. Hot loops can hoist the lookup.\n", kind, kind)
-		fmt.Fprintf(&b, "func Batch%sKernel(n int) func(data []%s, m int) {\n\tif n < BatchMinWidth || n > BatchMaxWidth {\n\t\treturn nil\n\t}\n", kind, elem)
-		if simd {
-			fmt.Fprintf(&b, "\tif batchSIMDOn {\n\t\tif k := simdCols%sKernels[n]; k != nil {\n\t\t\treturn k\n\t\t}\n\t}\n", kind)
-		}
-		fmt.Fprintf(&b, "\treturn batchCols%sKernels[n]\n}\n\n", kind)
-		fmt.Fprintf(&b, "// BatchFlat%sKernel returns the portable width-n row-major batch\n// kernel, or nil when none exists. (The SIMD row-major path needs\n// transpose scratch and lives only behind BatchFlat%s.)\n", kind, kind)
-		fmt.Fprintf(&b, "func BatchFlat%sKernel(n int) func(data []%s, m int) {\n\tif n < BatchMinWidth || n > BatchMaxWidth {\n\t\treturn nil\n\t}\n\treturn batchFlat%sKernels[n]\n}\n\n", kind, elem, kind)
-	}
-
-	if ordered {
-		b.WriteString("// BatchOrdered sorts, in place, every row of the column-major batch\n// of any ordered element type (pure Go; the SIMD kernels cover the\n// concrete 64-bit families). Same contract as BatchInt.\nfunc BatchOrdered[T cmp.Ordered](data []T, m int) bool {\n\tn, trivial, ok := batchDims(len(data), m, BatchMaxWidth)\n\tif !ok {\n\t\treturn false\n\t}\n\tif trivial {\n\t\treturn true\n\t}\n\tswitch n {\n")
-		for _, k := range kernels {
-			fmt.Fprintf(&b, "\tcase %d:\n\t\tbatchCols%dOrdered(data, m)\n", k.n, k.n)
-		}
-		b.WriteString("\tdefault:\n\t\treturn false\n\t}\n\treturn true\n}\n\n")
-		b.WriteString("// BatchFlatOrdered sorts, in place, every row of the row-major batch\n// of any ordered element type. Same contract as BatchFlatInt.\nfunc BatchFlatOrdered[T cmp.Ordered](data []T, width int) bool {\n\tm, trivial, ok := batchFlatDims(len(data), width, BatchMaxWidth)\n\tif !ok {\n\t\treturn false\n\t}\n\tif trivial {\n\t\treturn true\n\t}\n\tswitch width {\n")
-		for _, k := range kernels {
-			fmt.Fprintf(&b, "\tcase %d:\n\t\tbatchFlat%dOrdered(data, m)\n", k.n, k.n)
-		}
-		b.WriteString("\tdefault:\n\t\treturn false\n\t}\n\treturn true\n}\n")
-	}
-
-	return gofmt(b.String(), "batch.go")
+	src, err := gofmt(b.String(), "batch.go")
+	return "batch.go", src, err
 }

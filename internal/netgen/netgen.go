@@ -1,7 +1,8 @@
 // Package netgen compiles network.Program values into standalone,
-// branchless Go sorting kernels: one function per width and element
-// kind, with the compare-exchanges grouped by level so that
-// independent swaps sit adjacent for instruction-level parallelism.
+// branchless Go sorting kernels: one generic function per width and
+// exchange idiom (Kind), with the compare-exchanges grouped by level
+// so that independent swaps sit adjacent for instruction-level
+// parallelism.
 //
 // The emitted package has no dependency on this repository — it is the
 // product surface of the lab: the Program IR, which PR 1 introduced as
@@ -20,55 +21,41 @@ import (
 	"shufflenet/internal/network"
 )
 
-// Kind selects the element type of an emitted kernel family.
+// Kind selects the exchange idiom of an emitted kernel family. Every
+// family is generic over its element type: what separates them is how
+// one compare-exchange is written, which is what benchmarks show
+// matters, not the element type.
 type Kind int
 
 const (
-	// KindInt emits func SortNInt(s []int) kernels.
-	KindInt Kind = iota
-	// KindUint64 emits func SortNUint64(s []uint64) kernels.
-	KindUint64
-	// KindFloat64 emits func SortNFloat64(s []float64) kernels.
-	KindFloat64
-	// KindOrdered emits generic func SortNOrdered[T cmp.Ordered](s []T)
-	// kernels.
-	KindOrdered
-	// KindFunc emits generic func SortNFunc[T any](s []T, less
-	// func(T, T) bool) kernels.
+	// KindMinMax emits kernels whose compare-exchange is the min/max
+	// builtin pair: conditional moves, no data-dependent branches. The
+	// dispatchers use it for int, uint64 and float64 (float64 input
+	// must be NaN-free: min/max would turn one NaN into two).
+	KindMinMax Kind = iota
+	// KindSwap emits kernels whose compare-exchange is a
+	// compare-and-swap `if`: one comparison per exchange, the input
+	// multiset always preserved. The dispatchers use it for every other
+	// cmp.Ordered type.
+	KindSwap
+	// KindFunc emits kernels ordered by a less callback (scalar mode
+	// only).
 	KindFunc
 )
 
-// AllKinds lists every kernel family, in emission order.
-var AllKinds = []Kind{KindInt, KindUint64, KindFloat64, KindOrdered, KindFunc}
+// kinds lists the scalar kernel families, in emission order.
+var kinds = []Kind{KindMinMax, KindSwap, KindFunc}
 
 func (k Kind) String() string {
 	switch k {
-	case KindInt:
-		return "Int"
-	case KindUint64:
-		return "Uint64"
-	case KindFloat64:
-		return "Float64"
-	case KindOrdered:
-		return "Ordered"
+	case KindMinMax:
+		return "MinMax"
+	case KindSwap:
+		return "Swap"
 	case KindFunc:
 		return "Func"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// elem returns the element type expression of the kernel family, with
-// "T" standing for the type parameter of the generic families.
-func (k Kind) elem() string {
-	switch k {
-	case KindInt:
-		return "int"
-	case KindUint64:
-		return "uint64"
-	case KindFloat64:
-		return "float64"
-	}
-	return "T"
 }
 
 // file returns the generated file that holds this family's kernels.
@@ -76,19 +63,41 @@ func (k Kind) file() string {
 	return "kernels_" + strings.ToLower(k.String()) + ".go"
 }
 
+// typeParams returns the type parameter list of the family's kernels.
+func (k Kind) typeParams() string {
+	if k == KindFunc {
+		return "[T any]"
+	}
+	return "[T cmp.Ordered]"
+}
+
+// exchange emits one compare-exchange on the locals v<lo>, v<hi>,
+// indented by indent.
+func (k Kind) exchange(b *strings.Builder, indent string, lo, hi int) {
+	switch k {
+	case KindMinMax:
+		fmt.Fprintf(b, "%sv%d, v%d = min(v%d, v%d), max(v%d, v%d)\n", indent, lo, hi, lo, hi, lo, hi)
+	case KindSwap:
+		fmt.Fprintf(b, "%sif v%d < v%d {\n%s\tv%d, v%d = v%d, v%d\n%s}\n", indent, hi, lo, indent, lo, hi, hi, lo, indent)
+	case KindFunc:
+		fmt.Fprintf(b, "%sif less(v%d, v%d) {\n%s\tv%d, v%d = v%d, v%d\n%s}\n", indent, hi, lo, indent, lo, hi, hi, lo, indent)
+	}
+}
+
 // Mode selects an emission mode of the generated package.
 type Mode int
 
 const (
-	// ModeScalar emits the per-slice Sort<N><Kind> kernels plus the
-	// "<package>.go" meta file (dispatch tables, schedules as data).
+	// ModeScalar emits the per-slice kernels of every family
+	// ("kernels_<kind>.go") plus the "<package>.go" meta file
+	// (dispatchers, schedules as data).
 	ModeScalar Mode = iota
 	// ModeBatch emits the batch kernels that sort many same-width
 	// slices per call: pure-Go columnar and row-major kernels for the
-	// Int, Uint64, Float64 and Ordered families ("batch_<kind>.go"),
-	// the batch dispatch surface ("batch.go"), and — for widths up to
-	// 16 — AVX-512 columnar kernels with layout-transpose helpers
-	// ("batch_amd64.s", "batch_amd64.go").
+	// MinMax and Swap families ("batch_<kind>.go"), the batch dispatch
+	// surface ("batch.go"), and — for widths up to 16 — AVX-512
+	// columnar kernels with layout-transpose helpers ("batch_amd64.s",
+	// "batch_amd64.go").
 	ModeBatch
 )
 
@@ -114,10 +123,7 @@ type Options struct {
 	// contain machine-specific paths, or regeneration stops being
 	// byte-identical across checkouts.
 	Command string
-	// Kinds selects the kernel families to emit; nil means AllKinds.
-	Kinds []Kind
-	// Modes selects the emission modes; nil means scalar only, which
-	// keeps pre-batch configurations byte-identical.
+	// Modes selects the emission modes; nil means scalar only.
 	Modes []Mode
 	// Doc is the package documentation appended to the generated
 	// package clause, one line per element ("// " prefixes added).
@@ -144,16 +150,12 @@ type kernel struct {
 // least 2 wires) into a generated package: a map of file name to
 // gofmt-formatted contents. Alongside the per-family kernel files it
 // emits "<package>.go" with the package documentation, the runtime
-// dispatch tables, and the comparator schedules as data (Levels,
+// dispatchers, and the comparator schedules as data (Levels,
 // OutputPerm, Depth, Size, Widths) so that tests can re-verify every
 // committed kernel exhaustively.
 func Generate(opts Options, progs []*network.Program) (map[string][]byte, error) {
 	if opts.Package == "" {
 		return nil, fmt.Errorf("netgen: empty package name")
-	}
-	kinds := opts.Kinds
-	if kinds == nil {
-		kinds = AllKinds
 	}
 	if len(progs) == 0 {
 		return nil, fmt.Errorf("netgen: no programs")
@@ -187,49 +189,40 @@ func Generate(opts Options, progs []*network.Program) (map[string][]byte, error)
 	if modes == nil {
 		modes = []Mode{ModeScalar}
 	}
-	files := make(map[string][]byte, len(kinds)+1)
+	files := map[string][]byte{}
+	add := func(name string, src []byte, err error) error {
+		files[name] = src
+		return err
+	}
 	seenMode := map[Mode]bool{}
 	for _, mode := range modes {
 		if seenMode[mode] {
 			return nil, fmt.Errorf("netgen: mode %v listed twice", mode)
 		}
 		seenMode[mode] = true
+		var err error
 		switch mode {
 		case ModeScalar:
 			for _, k := range kinds {
-				src, err := genKindFile(opts, k, kernels)
-				if err != nil {
+				if err = add(genKindFile(opts, k, kernels)); err != nil {
 					return nil, err
 				}
-				files[k.file()] = src
 			}
-			src, err := genMetaFile(opts, kinds, kernels)
-			if err != nil {
-				return nil, err
-			}
-			files[opts.Package+".go"] = src
+			err = add(genMetaFile(opts, kernels))
 		case ModeBatch:
 			if opts.Package == "batch" {
 				return nil, fmt.Errorf("netgen: batch mode cannot target a package named %q (meta file collision)", opts.Package)
 			}
-			bkinds := filterBatchKinds(kinds)
-			if len(bkinds) == 0 {
-				return nil, fmt.Errorf("netgen: batch mode needs one of the Int, Uint64, Float64 or Ordered families")
-			}
-			for _, k := range bkinds {
-				src, err := genBatchKindFile(opts, k, kernels)
-				if err != nil {
+			for _, k := range batchKinds {
+				if err = add(genBatchKindFile(opts, k, kernels)); err != nil {
 					return nil, err
 				}
-				files[k.batchFile()] = src
 			}
-			src, err := genBatchMetaFile(opts, bkinds, kernels)
-			if err != nil {
+			if err = add(genBatchMetaFile(opts, kernels)); err != nil {
 				return nil, err
 			}
-			files["batch.go"] = src
-			if concrete := concreteBatchKinds(bkinds); len(concrete) > 0 && len(simdWidths(kernels)) > 0 {
-				asmSrc, goSrc, err := genBatchAmd64(opts, concrete, kernels)
+			if len(simdWidths(kernels)) > 0 {
+				asmSrc, goSrc, err := genBatchAmd64(opts, kernels)
 				if err != nil {
 					return nil, err
 				}
@@ -239,32 +232,24 @@ func Generate(opts Options, progs []*network.Program) (map[string][]byte, error)
 		default:
 			return nil, fmt.Errorf("netgen: unknown mode %v", mode)
 		}
-	}
-	return files, nil
-}
-
-// filterBatchKinds intersects the requested kinds with the batch
-// families, preserving batch emission order.
-func filterBatchKinds(kinds []Kind) []Kind {
-	var out []Kind
-	for _, k := range batchKinds {
-		if hasKind(kinds, k) {
-			out = append(out, k)
+		if err != nil {
+			return nil, err
 		}
 	}
-	return out
+	return files, nil
 }
 
 func header(opts Options, b *strings.Builder) {
 	fmt.Fprintf(b, "// Code generated by %q; DO NOT EDIT.\n\n", opts.Command)
 }
 
-// genKindFile emits every kernel of one family.
-func genKindFile(opts Options, kind Kind, kernels []kernel) ([]byte, error) {
+// genKindFile emits every kernel of one family, as the file name the
+// family lives in plus its contents.
+func genKindFile(opts Options, kind Kind, kernels []kernel) (string, []byte, error) {
 	var b strings.Builder
 	header(opts, &b)
 	fmt.Fprintf(&b, "package %s\n\n", opts.Package)
-	if kind == KindOrdered {
+	if kind != KindFunc {
 		b.WriteString("import \"cmp\"\n\n")
 	}
 	for i, k := range kernels {
@@ -273,7 +258,19 @@ func genKindFile(opts Options, kind Kind, kernels []kernel) ([]byte, error) {
 		}
 		genKernel(&b, kind, k)
 	}
-	return gofmt(b.String(), kind.file())
+	src, err := gofmt(b.String(), kind.file())
+	return kind.file(), src, err
+}
+
+// writeList writes the n items format(0), ..., format(n-1) separated by
+// ", ".
+func writeList(b *strings.Builder, n int, format func(i int) string) {
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(format(i))
+	}
 }
 
 // genKernel emits one branchless sorting function.
@@ -283,93 +280,66 @@ func genKindFile(opts Options, kind Kind, kernels []kernel) ([]byte, error) {
 // levels: the exchanges within one level touch disjoint locals, so
 // they are free to issue in parallel), and stores the locals back —
 // through the output permutation when the source program has one
-// (register-model networks).
-//
-// Exchange idiom per family: the integer families use the min/max
-// builtins, which the compiler lowers to conditional moves — no
-// branches, no data-dependent control flow. The float64, Ordered and
-// Func families use a compare-and-swap `if` instead: builtin min/max
-// on floats would turn one NaN into two (losing data), and on strings
-// it would compare twice; the `if` always preserves the input multiset
-// and costs one comparison.
+// (register-model networks). The family decides how one exchange is
+// written (see Kind).
 func genKernel(b *strings.Builder, kind Kind, k kernel) {
-	name := fmt.Sprintf("Sort%d%s", k.n, kind)
+	name := fmt.Sprintf("sort%d%s", k.n, kind)
 	doc := fmt.Sprintf("// %s sorts s[:%d] in place with a sorting-network kernel:\n// depth %d, size %d", name, k.n, k.depth, k.size)
 	if k.note != "" {
 		doc += ", " + k.note
 	}
 	doc += "."
 	switch kind {
-	case KindFloat64:
-		doc += "\n// Ordering follows <, so inputs containing NaN come out in\n// unspecified order (the input multiset is always preserved)."
+	case KindMinMax:
+		doc += "\n// Exchanges are min/max pairs; float input must be NaN-free."
 	case KindFunc:
 		doc += "\n// less must be a strict weak ordering; the sort is not stable."
 	}
 	b.WriteString(doc + "\n")
-	switch kind {
-	case KindOrdered:
-		fmt.Fprintf(b, "func %s[T cmp.Ordered](s []T) {\n", name)
-	case KindFunc:
-		fmt.Fprintf(b, "func %s[T any](s []T, less func(a, b T) bool) {\n", name)
-	default:
-		fmt.Fprintf(b, "func %s(s []%s) {\n", name, kind.elem())
+	if kind == KindFunc {
+		fmt.Fprintf(b, "func %s%s(s []T, less func(a, b T) bool) {\n", name, kind.typeParams())
+	} else {
+		fmt.Fprintf(b, "func %s%s(s []T) {\n", name, kind.typeParams())
 	}
-	fmt.Fprintf(b, "\t_ = s[%d]\n", k.n-1)
-	// load
-	b.WriteString("\t")
-	for i := 0; i < k.n; i++ {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "v%d", i)
-	}
+	fmt.Fprintf(b, "\t_ = s[%d]\n\t", k.n-1)
+	writeList(b, k.n, func(i int) string { return fmt.Sprintf("v%d", i) })
 	b.WriteString(" := ")
-	for i := 0; i < k.n; i++ {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "s[%d]", i)
-	}
+	writeList(b, k.n, func(i int) string { return fmt.Sprintf("s[%d]", i) })
 	b.WriteString("\n")
-	// levels
 	for li, lv := range k.levels {
 		if len(lv) == 0 {
 			continue
 		}
 		fmt.Fprintf(b, "\n\t// level %d\n", li+1)
 		for _, p := range lv {
-			lo, hi := p[0], p[1]
-			switch kind {
-			case KindInt, KindUint64:
-				fmt.Fprintf(b, "\tv%d, v%d = min(v%d, v%d), max(v%d, v%d)\n", lo, hi, lo, hi, lo, hi)
-			case KindFunc:
-				fmt.Fprintf(b, "\tif less(v%d, v%d) {\n\t\tv%d, v%d = v%d, v%d\n\t}\n", hi, lo, lo, hi, hi, lo)
-			default: // float64, ordered
-				fmt.Fprintf(b, "\tif v%d < v%d {\n\t\tv%d, v%d = v%d, v%d\n\t}\n", hi, lo, lo, hi, hi, lo)
-			}
+			kind.exchange(b, "\t", p[0], p[1])
 		}
 	}
-	// store
 	b.WriteString("\n\t")
-	for i := 0; i < k.n; i++ {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "s[%d]", i)
-	}
+	writeList(b, k.n, func(i int) string { return fmt.Sprintf("s[%d]", i) })
 	b.WriteString(" = ")
-	for i := 0; i < k.n; i++ {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(b, "v%d", k.outPerm[i])
-	}
+	writeList(b, k.n, func(i int) string { return fmt.Sprintf("v%d", k.outPerm[i]) })
 	b.WriteString("\n}\n")
+}
+
+// genSwitch emits the body of a width dispatcher: a switch on the width
+// expression sw calling call(n) for every kernel width, false for any
+// other width, true after a call or (when trivial is set) for widths 0
+// and 1.
+func genSwitch(b *strings.Builder, sw string, trivial bool, kernels []kernel, call func(n int) string) {
+	fmt.Fprintf(b, "\tswitch %s {\n", sw)
+	if trivial {
+		b.WriteString("\tcase 0, 1:\n")
+	}
+	for _, k := range kernels {
+		fmt.Fprintf(b, "\tcase %d:\n\t\t%s\n", k.n, call(k.n))
+	}
+	b.WriteString("\tdefault:\n\t\treturn false\n\t}\n\treturn true\n}\n\n")
 }
 
 // genMetaFile emits "<package>.go": package doc, dispatchers, and the
 // comparator schedules as data.
-func genMetaFile(opts Options, kinds []Kind, kernels []kernel) ([]byte, error) {
+func genMetaFile(opts Options, kernels []kernel) (string, []byte, error) {
 	var b strings.Builder
 	header(opts, &b)
 	doc := opts.Doc
@@ -385,58 +355,54 @@ func genMetaFile(opts Options, kinds []Kind, kernels []kernel) ([]byte, error) {
 			b.WriteString("// " + line + "\n")
 		}
 	}
-	fmt.Fprintf(&b, "package %s\n\n", opts.Package)
-	hasOrdered := false
-	for _, k := range kinds {
-		if k == KindOrdered {
-			hasOrdered = true
-		}
-	}
-	if hasOrdered {
-		b.WriteString("import \"cmp\"\n\n")
-	}
+	fmt.Fprintf(&b, "package %s\n\nimport \"cmp\"\n\n", opts.Package)
 	minW, maxW := kernels[0].n, kernels[len(kernels)-1].n
 	fmt.Fprintf(&b, "// Kernel widths span [MinWidth, MaxWidth]; Widths lists the ones\n// actually present.\nconst (\n\tMinWidth = %d\n\tMaxWidth = %d\n)\n\n", minW, maxW)
-	// Widths
 	b.WriteString("// Widths returns the kernel widths available, ascending.\nfunc Widths() []int {\n\treturn []int{")
-	for i, k := range kernels {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d", k.n)
-	}
+	writeList(&b, len(kernels), func(i int) string { return fmt.Sprint(kernels[i].n) })
 	b.WriteString("}\n}\n\n")
 
-	// concrete dispatch tables + dispatchers
-	for _, kind := range kinds {
-		switch kind {
-		case KindInt, KindUint64, KindFloat64:
-			lower := strings.ToLower(kind.String())
-			fmt.Fprintf(&b, "var %sKernels = [MaxWidth + 1]func(s []%s){\n", lower, kind.elem())
-			for _, k := range kernels {
-				fmt.Fprintf(&b, "\t%d: Sort%d%s,\n", k.n, k.n, kind)
-			}
-			b.WriteString("}\n\n")
-			fmt.Fprintf(&b, "// %s sorts s in place with the generated kernel matching len(s)\n", kind)
-			fmt.Fprintf(&b, "// and reports whether one was available; slices shorter than 2 are\n// trivially sorted. When it returns false, s is untouched.\n")
-			fmt.Fprintf(&b, "func %s(s []%s) bool {\n", kind, kind.elem())
-			b.WriteString("\tif len(s) < 2 {\n\t\treturn true\n\t}\n")
-			fmt.Fprintf(&b, "\tif len(s) <= MaxWidth {\n\t\tif k := %sKernels[len(s)]; k != nil {\n\t\t\tk(s)\n\t\t\treturn true\n\t\t}\n\t}\n\treturn false\n}\n\n", lower)
-			fmt.Fprintf(&b, "// %sKernel returns the width-n %s kernel, or nil when none exists.\n// Hot loops that sort many same-width slices can hoist the lookup\n// (and %s's length checks) out of the loop.\n", kind, kind.elem(), kind)
-			fmt.Fprintf(&b, "func %sKernel(n int) func(s []%s) {\n\tif n < MinWidth || n > MaxWidth {\n\t\treturn nil\n\t}\n\treturn %sKernels[n]\n}\n\n", kind, kind.elem(), lower)
-		case KindOrdered:
-			b.WriteString("// Ordered sorts s in place with the generated generic kernel\n// matching len(s) and reports whether one was available; slices\n// shorter than 2 are trivially sorted. When it returns false, s is\n// untouched.\nfunc Ordered[T cmp.Ordered](s []T) bool {\n\tswitch len(s) {\n\tcase 0, 1:\n\t\treturn true\n")
-			for _, k := range kernels {
-				fmt.Fprintf(&b, "\tcase %d:\n\t\tSort%dOrdered(s)\n", k.n, k.n)
-			}
-			b.WriteString("\t}\n\treturn false\n}\n\n")
-		case KindFunc:
-			b.WriteString("// Func sorts s in place by less with the generated generic kernel\n// matching len(s) and reports whether one was available; slices\n// shorter than 2 are trivially sorted. When it returns false, s is\n// untouched. The sort is not stable.\nfunc Func[T any](s []T, less func(a, b T) bool) bool {\n\tswitch len(s) {\n\tcase 0, 1:\n\t\treturn true\n")
-			for _, k := range kernels {
-				fmt.Fprintf(&b, "\tcase %d:\n\t\tSort%dFunc(s, less)\n", k.n, k.n)
-			}
-			b.WriteString("\t}\n\treturn false\n}\n\n")
-		}
+	b.WriteString(`// Ordered sorts s in place with the generated kernel matching len(s)
+// and reports whether one was available; slices shorter than 2 are
+// trivially sorted. When it returns false, s is untouched.
+//
+// The element type picks the exchange idiom: int, uint64 and float64
+// take the min/max kernels, which compile to conditional moves, and
+// every other type the compare-and-swap kernels, one comparison per
+// exchange. Float64 input must be NaN-free: min/max would turn one NaN
+// into two, so callers prescan. On float64 the min/max kernels order
+// -0 before +0.
+func Ordered[T cmp.Ordered](s []T) bool {
+	switch v := any(s).(type) {
+	case []int:
+		return sortMinMax(v)
+	case []uint64:
+		return sortMinMax(v)
+	case []float64:
+		return sortMinMax(v)
+	}
+	return sortSwap(s)
+}
+
+// Int is Ordered on []int.
+func Int(s []int) bool { return Ordered(s) }
+
+// Uint64 is Ordered on []uint64.
+func Uint64(s []uint64) bool { return Ordered(s) }
+
+// Float64 is Ordered on []float64; s must be NaN-free.
+func Float64(s []float64) bool { return Ordered(s) }
+
+// Func sorts s in place by less with the generated kernel matching
+// len(s) and reports whether one was available; slices shorter than 2
+// are trivially sorted. When it returns false, s is untouched. The sort
+// is not stable.
+func Func[T any](s []T, less func(a, b T) bool) bool {
+`)
+	genSwitch(&b, "len(s)", true, kernels, func(n int) string { return fmt.Sprintf("sort%dFunc(s, less)", n) })
+	for _, kind := range []Kind{KindMinMax, KindSwap} {
+		fmt.Fprintf(&b, "// sort%s runs the %s kernel matching len(s).\nfunc sort%s[T cmp.Ordered](s []T) bool {\n", kind, kind, kind)
+		genSwitch(&b, "len(s)", true, kernels, func(n int) string { return fmt.Sprintf("sort%d%s(s)", n, kind) })
 	}
 
 	// schedules as data
@@ -445,12 +411,7 @@ func genMetaFile(opts Options, kinds []Kind, kernels []kernel) ([]byte, error) {
 		fmt.Fprintf(&b, "\t%d: {\n", k.n)
 		for _, lv := range k.levels {
 			b.WriteString("\t\t{")
-			for i, p := range lv {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				fmt.Fprintf(&b, "{%d, %d}", p[0], p[1])
-			}
+			writeList(&b, len(lv), func(i int) string { return fmt.Sprintf("{%d, %d}", lv[i][0], lv[i][1]) })
 			b.WriteString("},\n")
 		}
 		b.WriteString("\t},\n")
@@ -464,12 +425,7 @@ func genMetaFile(opts Options, kinds []Kind, kernels []kernel) ([]byte, error) {
 			continue
 		}
 		fmt.Fprintf(&b, "\t%d: {", k.n)
-		for i, v := range k.outPerm {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%d", v)
-		}
+		writeList(&b, k.n, func(i int) string { return fmt.Sprint(k.outPerm[i]) })
 		b.WriteString("},\n")
 	}
 	b.WriteString("}\n\n")
@@ -517,7 +473,9 @@ func Size(n int) int {
 	return total
 }
 `)
-	return gofmt(b.String(), opts.Package+".go")
+	name := opts.Package + ".go"
+	src, err := gofmt(b.String(), name)
+	return name, src, err
 }
 
 func isIdentity(p []int) bool {

@@ -19,8 +19,8 @@ func TestGenerateBatchFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"kern.go", "kernels_int.go", "kernels_uint64.go", "kernels_float64.go", "kernels_ordered.go", "kernels_func.go",
-		"batch.go", "batch_int.go", "batch_uint64.go", "batch_float64.go", "batch_ordered.go", "batch_amd64.go", "batch_amd64.s",
+		"kern.go", "kernels_minmax.go", "kernels_swap.go", "kernels_func.go",
+		"batch.go", "batch_minmax.go", "batch_swap.go", "batch_amd64.go", "batch_amd64.s",
 	}
 	if len(files) != len(want) {
 		t.Fatalf("got %d files, want %d", len(files), len(want))
@@ -50,18 +50,22 @@ func TestGenerateBatchFiles(t *testing.T) {
 		}
 	}
 
-	ints := string(files["batch_int.go"])
-	for _, fn := range []string{"func batchCols2Int(data []int, m int)", "func batchFlat7Int(data []int, m int)"} {
-		if !strings.Contains(ints, fn) {
-			t.Errorf("batch_int.go: missing %q", fn)
+	minmax := string(files["batch_minmax.go"])
+	for _, fn := range []string{"func batchCols2MinMax[T cmp.Ordered](data []T, m int)", "func batchFlat7MinMax[T cmp.Ordered](data []T, m int)"} {
+		if !strings.Contains(minmax, fn) {
+			t.Errorf("batch_minmax.go: missing %q", fn)
 		}
+	}
+	if !strings.Contains(string(files["batch_swap.go"]), "func batchFlat7Swap[T cmp.Ordered](data []T, m int)") {
+		t.Error("batch_swap.go: missing batchFlat7Swap")
 	}
 	meta := string(files["batch.go"])
 	for _, frag := range []string{
 		"BatchMinWidth = 2", "BatchMaxWidth = 7",
-		"func BatchInt(data []int, m int) bool",
-		"func BatchFlatFloat64(data []float64, width int) bool",
-		"func BatchOrdered[T cmp.Ordered](data []T, m int) bool",
+		"func Batch[T cmp.Ordered](data []T, m int) bool",
+		"func BatchFlat[T cmp.Ordered](data []T, width int) bool",
+		"case []float64:\n\t\treturn flatMinMax(v, m, width, simdFloat64)",
+		"return colsSwap(data, m, n)",
 		"func SetBatchSIMD(on bool) (prev bool)",
 	} {
 		if !strings.Contains(meta, frag) {
@@ -105,8 +109,8 @@ func TestGenerateBatchOnlyMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 7 {
-		t.Fatalf("got %d files, want 7", len(files))
+	if len(files) != 5 {
+		t.Fatalf("got %d files, want 5", len(files))
 	}
 	if _, ok := files["kern.go"]; ok {
 		t.Error("batch-only mode emitted the scalar meta file")
@@ -125,8 +129,8 @@ func TestGenerateBatchWideWidths(t *testing.T) {
 	if _, ok := files["batch_amd64.s"]; ok {
 		t.Error("emitted AVX-512 kernels for widths beyond 16")
 	}
-	if !strings.Contains(string(files["batch_int.go"]), "func batchCols20Int(data []int, m int)") {
-		t.Error("batch_int.go: missing the pure-Go width-20 kernel")
+	if !strings.Contains(string(files["batch_minmax.go"]), "func batchCols20MinMax[T cmp.Ordered](data []T, m int)") {
+		t.Error("batch_minmax.go: missing the pure-Go width-20 kernel")
 	}
 
 	progs = []*network.Program{netbuild.BestKnown(4).Compile(), netbuild.MergeExchange(20).Compile()}
@@ -152,7 +156,6 @@ func TestGenerateBatchErrors(t *testing.T) {
 		{"duplicate mode", Options{Package: "p", Command: "c", Modes: []Mode{ModeBatch, ModeBatch}}},
 		{"unknown mode", Options{Package: "p", Command: "c", Modes: []Mode{Mode(99)}}},
 		{"package collision", Options{Package: "batch", Command: "c", Modes: []Mode{ModeBatch}}},
-		{"no batch family", Options{Package: "p", Command: "c", Kinds: []Kind{KindFunc}, Modes: []Mode{ModeBatch}}},
 	} {
 		if _, err := Generate(tc.opts, progs); err == nil {
 			t.Errorf("%s: no error", tc.name)
@@ -161,17 +164,19 @@ func TestGenerateBatchErrors(t *testing.T) {
 }
 
 // TestBatchScheduleMirrorsScalar pins that both emission modes compile
-// the same program into the same comparator schedule: every (min, max)
-// exchange line of the scalar kernel appears in the columnar batch
-// kernel with the locals renamed, in the same order.
+// the same program into the same comparator schedule: every exchange
+// line of the scalar kernel appears in the columnar batch kernel with
+// the locals renamed, in the same order — for the min/max family
+// (the "= min(" lines) and the compare-and-swap family (the "if"
+// lines).
 func TestBatchScheduleMirrorsScalar(t *testing.T) {
 	files, err := Generate(Options{Package: "kern", Command: "cmd", Modes: AllModes}, testPrograms(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	extract := func(src, fn string) []string {
+	extract := func(src, fn, marker string) []string {
 		body := string(src)
-		i := strings.Index(body, "func "+fn)
+		i := strings.Index(body, "func "+fn+"[")
 		if i < 0 {
 			t.Fatalf("missing func %s", fn)
 		}
@@ -182,21 +187,24 @@ func TestBatchScheduleMirrorsScalar(t *testing.T) {
 		var ops []string
 		for _, line := range strings.Split(body, "\n") {
 			line = strings.TrimSpace(line)
-			if strings.Contains(line, "= min(") {
+			if strings.Contains(line, marker) {
 				ops = append(ops, line)
 			}
 		}
 		return ops
 	}
-	for _, n := range []int{2, 4, 7} {
-		scalar := extract(string(files["kernels_int.go"]), fmt.Sprintf("Sort%dInt", n))
-		batch := extract(string(files["batch_int.go"]), fmt.Sprintf("batchCols%dInt", n))
-		if len(scalar) == 0 || len(scalar) != len(batch) {
-			t.Fatalf("n=%d: %d scalar exchanges vs %d batch exchanges", n, len(scalar), len(batch))
-		}
-		for i := range scalar {
-			if scalar[i] != batch[i] {
-				t.Errorf("n=%d exchange %d: scalar %q != batch %q", n, i, scalar[i], batch[i])
+	for _, fam := range []struct{ kind, marker string }{{"MinMax", "= min("}, {"Swap", "if v"}} {
+		lower := strings.ToLower(fam.kind)
+		for _, n := range []int{2, 4, 7} {
+			scalar := extract(string(files["kernels_"+lower+".go"]), fmt.Sprintf("sort%d%s", n, fam.kind), fam.marker)
+			batch := extract(string(files["batch_"+lower+".go"]), fmt.Sprintf("batchCols%d%s", n, fam.kind), fam.marker)
+			if len(scalar) == 0 || len(scalar) != len(batch) {
+				t.Fatalf("%s n=%d: %d scalar exchanges vs %d batch exchanges", fam.kind, n, len(scalar), len(batch))
+			}
+			for i := range scalar {
+				if scalar[i] != batch[i] {
+					t.Errorf("%s n=%d exchange %d: scalar %q != batch %q", fam.kind, n, i, scalar[i], batch[i])
+				}
 			}
 		}
 	}

@@ -29,7 +29,7 @@ func TestGenerateEmitsAllFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"kern.go", "kernels_int.go", "kernels_uint64.go", "kernels_float64.go", "kernels_ordered.go", "kernels_func.go"}
+	want := []string{"kern.go", "kernels_minmax.go", "kernels_swap.go", "kernels_func.go"}
 	if len(files) != len(want) {
 		t.Fatalf("got %d files, want %d", len(files), len(want))
 	}
@@ -55,11 +55,17 @@ func TestGenerateEmitsAllFamilies(t *testing.T) {
 			t.Errorf("%s: parse error: %v", name, err)
 		}
 	}
-	ints := string(files["kernels_int.go"])
-	for _, fn := range []string{"func Sort2Int(s []int)", "func Sort4Int(s []int)", "func Sort7Int(s []int)"} {
-		if !strings.Contains(ints, fn) {
-			t.Errorf("kernels_int.go: missing %q", fn)
+	minmax := string(files["kernels_minmax.go"])
+	for _, fn := range []string{"func sort2MinMax[T cmp.Ordered](s []T)", "func sort4MinMax[T cmp.Ordered](s []T)", "func sort7MinMax[T cmp.Ordered](s []T)"} {
+		if !strings.Contains(minmax, fn) {
+			t.Errorf("kernels_minmax.go: missing %q", fn)
 		}
+	}
+	if !strings.Contains(string(files["kernels_swap.go"]), "func sort7Swap[T cmp.Ordered](s []T)") {
+		t.Error("kernels_swap.go: missing sort7Swap")
+	}
+	if !strings.Contains(string(files["kernels_func.go"]), "func sort7Func[T any](s []T, less func(a, b T) bool)") {
+		t.Error("kernels_func.go: missing sort7Func")
 	}
 	meta := string(files["kern.go"])
 	for _, frag := range []string{"MaxWidth = 7", "MinWidth = 2", "func Int(s []int) bool", "func Ordered[T cmp.Ordered](s []T) bool", "func Func[T any](s []T, less func(a, b T) bool) bool", "func Levels(n int)", "func Depth(n int)"} {

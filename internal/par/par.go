@@ -1,21 +1,20 @@
 // Package par provides the small parallel-execution runtime used by the
 // evaluators and checkers in shufflenet: chunked parallel loops over
-// index ranges, parallel map, and an early-exit parallel search.
+// index ranges, an early-exit parallel search, and a parallel sum.
 //
 // All functions degrade gracefully to sequential execution for small
 // inputs, so callers can use them unconditionally. Worker counts default
 // to GOMAXPROCS and are capped by the work available.
 //
-// Every loop has a ctx-aware variant (ForEachCtx, ForEachChunkCtx,
-// FindCtx, SumInt64Ctx) that observes cancellation once per chunk —
-// never per item — so the hot inner loops pay nothing: with a
-// non-cancelable context (ctx.Done() == nil, e.g. context.Background())
-// the probe compiles down to a nil check and the execution layout is
-// identical to the non-ctx entry points, which are thin
-// context.Background() wrappers. On cancellation the variants return
-// the context's error; workers abandon un-started chunks but finish the
-// chunk they are in, so the residual work after a cancel is bounded by
-// one chunk per worker.
+// The loops observe cancellation once per chunk — never per item — so
+// the hot inner loops pay nothing: with a non-cancelable context
+// (ctx.Done() == nil, e.g. context.Background()) the probe compiles
+// down to a nil check, and the few non-ctx entry points that callers
+// use (ForEachGrain, ForEachChunk, ForEachChunkGrain) are thin
+// context.Background() wrappers. On cancellation the ctx-aware entry
+// points return the context's error; workers abandon un-started chunks
+// but finish the chunk they are in, so the residual work after a cancel
+// is bounded by one chunk per worker.
 package par
 
 import (
@@ -86,38 +85,23 @@ func canceled(done <-chan struct{}) bool {
 	}
 }
 
-// ForEach invokes body(i) for every i in [0, n), splitting the range into
-// contiguous chunks across up to workers goroutines (0 = GOMAXPROCS).
-// body must be safe for concurrent invocation on distinct indices.
-// Ranges smaller than the default grain (2048) run sequentially; use
-// ForEachGrain when the per-item cost justifies a different threshold.
-func ForEach(n, workers int, body func(i int)) {
-	forEachGrain(context.Background(), nil, n, workers, minParallel, body)
-}
-
-// ForEachCtx is ForEach with cancellation: it observes ctx once per
-// chunk of 2048 items and returns ctx.Err() when the run was cut short
-// (some indices unvisited), nil when every index was visited.
-func ForEachCtx(ctx context.Context, n, workers int, body func(i int)) error {
-	return forEachGrain(ctx, ctx.Done(), n, workers, minParallel, body)
-}
-
-// ForEachGrain is ForEach with an explicit grain size: ranges smaller
-// than grain run sequentially, since below it goroutine scheduling
-// costs more than the work. Callers with expensive bodies can pass a
-// small grain (>= 1) to force parallelism on short ranges; callers
-// with trivial bodies should keep it large.
+// ForEachGrain invokes body(i) for every i in [0, n), splitting the
+// range into contiguous chunks across up to workers goroutines (0 =
+// GOMAXPROCS). body must be safe for concurrent invocation on distinct
+// indices. Ranges smaller than grain run sequentially, since below it
+// goroutine scheduling costs more than the work. Callers with
+// expensive bodies can pass a small grain (>= 1) to force parallelism
+// on short ranges; callers with trivial bodies should keep it large.
 func ForEachGrain(n, workers, grain int, body func(i int)) {
-	forEachGrain(context.Background(), nil, n, workers, grain, body)
+	ForEachGrainCtx(context.Background(), n, workers, grain, body)
 }
 
 // ForEachGrainCtx is ForEachGrain with cancellation, probed once per
-// grain-sized piece of each worker's range.
+// grain-sized piece of each worker's range. It returns ctx.Err() when
+// the run was cut short (some indices unvisited), nil when every index
+// was visited.
 func ForEachGrainCtx(ctx context.Context, n, workers, grain int, body func(i int)) error {
-	return forEachGrain(ctx, ctx.Done(), n, workers, grain, body)
-}
-
-func forEachGrain(ctx context.Context, done <-chan struct{}, n, workers, grain int, body func(i int)) error {
+	done := ctx.Done()
 	if n <= 0 {
 		return nil
 	}
@@ -172,13 +156,13 @@ func forEachGrain(ctx context.Context, done <-chan struct{}, n, workers, grain i
 
 // ForEachChunk invokes body(lo, hi) for a partition of [0, n) into
 // contiguous half-open chunks, one per worker goroutine. Use this
-// instead of ForEach when the body benefits from per-chunk state
+// instead of ForEachGrain when the body benefits from per-chunk state
 // (e.g. scratch buffers). Ranges smaller than the default grain (2048)
 // run as a single body(0, n) call on the calling goroutine; use
 // ForEachChunkGrain when few-but-heavy chunks justify a lower
 // threshold.
 func ForEachChunk(n, workers int, body func(lo, hi int)) {
-	forEachChunk(context.Background(), nil, n, workers, minParallel, body)
+	forEachChunk(context.Background(), n, workers, minParallel, body)
 }
 
 // ForEachChunkGrain is ForEachChunk with an explicit sequential
@@ -187,7 +171,7 @@ func ForEachChunk(n, workers int, body func(lo, hi int)) {
 // Monte-Carlo batches) pass a small grain to keep parallelism on short
 // ranges.
 func ForEachChunkGrain(n, workers, grain int, body func(lo, hi int)) {
-	forEachChunk(context.Background(), nil, n, workers, grain, body)
+	forEachChunk(context.Background(), n, workers, grain, body)
 }
 
 // ForEachChunkCtx is ForEachChunk with cancellation. With a cancelable
@@ -199,16 +183,11 @@ func ForEachChunkGrain(n, workers, grain int, body func(lo, hi int)) {
 // stride. With a non-cancelable context the layout is exactly
 // ForEachChunk's. Returns ctx.Err() when chunks were abandoned.
 func ForEachChunkCtx(ctx context.Context, n, workers int, body func(lo, hi int)) error {
-	return forEachChunk(ctx, ctx.Done(), n, workers, minParallel, body)
+	return forEachChunk(ctx, n, workers, minParallel, body)
 }
 
-// ForEachChunkGrainCtx is ForEachChunkGrain with cancellation, probed
-// once per grain-sized piece.
-func ForEachChunkGrainCtx(ctx context.Context, n, workers, grain int, body func(lo, hi int)) error {
-	return forEachChunk(ctx, ctx.Done(), n, workers, grain, body)
-}
-
-func forEachChunk(ctx context.Context, done <-chan struct{}, n, workers, grain int, body func(lo, hi int)) error {
+func forEachChunk(ctx context.Context, n, workers, grain int, body func(lo, hi int)) error {
+	done := ctx.Done()
 	if n <= 0 {
 		return nil
 	}
@@ -263,26 +242,19 @@ func forEachChunk(ctx context.Context, done <-chan struct{}, n, workers, grain i
 	return nil
 }
 
-// Find searches [0, n) in parallel for an index satisfying pred and
+// FindCtx searches [0, n) in parallel for an index satisfying pred and
 // returns the smallest satisfying index found, or -1 if none satisfies
-// pred. Workers abandon chunks that can no longer contain a smaller hit,
-// so Find is effective for needle-in-haystack searches such as locating
-// the first unsorted 0-1 input of a network.
-func Find(n, workers int, pred func(i int) bool) int {
-	i, _ := findCtx(context.Background(), nil, n, workers, pred)
-	return i
-}
-
-// FindCtx is Find with cancellation, probed once per chunk of 2048
-// candidates. On cancellation it returns the smallest hit observed so
-// far (or -1) together with ctx.Err(); the returned index still
-// satisfies pred but is no longer guaranteed minimal, since chunks
-// below it may have been abandoned.
+// pred. Workers abandon chunks that can no longer contain a smaller
+// hit, so FindCtx is effective for needle-in-haystack searches such as
+// locating the first unsorted 0-1 input of a network.
+//
+// Cancellation is probed once per chunk of 2048 candidates. On
+// cancellation FindCtx returns the smallest hit observed so far (or -1)
+// together with ctx.Err(); the returned index still satisfies pred but
+// is no longer guaranteed minimal, since chunks below it may have been
+// abandoned.
 func FindCtx(ctx context.Context, n, workers int, pred func(i int) bool) (int, error) {
-	return findCtx(ctx, ctx.Done(), n, workers, pred)
-}
-
-func findCtx(ctx context.Context, done <-chan struct{}, n, workers int, pred func(i int) bool) (int, error) {
+	done := ctx.Done()
 	if n <= 0 {
 		return -1, nil
 	}
@@ -353,20 +325,12 @@ func findCtx(ctx context.Context, done <-chan struct{}, n, workers int, pred fun
 	return int(hit), nil
 }
 
-// SumInt64 computes sum over i in [0, n) of f(i) in parallel.
-func SumInt64(n, workers int, f func(i int) int64) int64 {
-	s, _ := sumInt64(context.Background(), nil, n, workers, f)
-	return s
-}
-
-// SumInt64Ctx is SumInt64 with cancellation, probed once per chunk of
-// 2048 items. On cancellation it returns the partial sum accumulated
-// so far (an undercount) together with ctx.Err().
+// SumInt64Ctx computes sum over i in [0, n) of f(i) in parallel,
+// probing cancellation once per chunk of 2048 items. On cancellation it
+// returns the partial sum accumulated so far (an undercount) together
+// with ctx.Err().
 func SumInt64Ctx(ctx context.Context, n, workers int, f func(i int) int64) (int64, error) {
-	return sumInt64(ctx, ctx.Done(), n, workers, f)
-}
-
-func sumInt64(ctx context.Context, done <-chan struct{}, n, workers int, f func(i int) int64) (int64, error) {
+	done := ctx.Done()
 	if n <= 0 {
 		return 0, nil
 	}
@@ -424,11 +388,4 @@ func sumInt64(ctx context.Context, done <-chan struct{}, n, workers int, f func(
 		return total, ctx.Err()
 	}
 	return total, nil
-}
-
-// Map applies f to every index of dst in parallel, storing the results.
-func Map[T any](dst []T, workers int, f func(i int) T) {
-	ForEach(len(dst), workers, func(i int) {
-		dst[i] = f(i)
-	})
 }

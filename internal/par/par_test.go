@@ -24,7 +24,7 @@ func TestWorkers(t *testing.T) {
 func TestForEachCoversRangeExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 7, minParallel - 1, minParallel, 3*minParallel + 5} {
 		counts := make([]int32, n)
-		ForEach(n, 0, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		ForEachGrain(n, 0, minParallel, func(i int) { atomic.AddInt32(&counts[i], 1) })
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
@@ -37,7 +37,7 @@ func TestForEachWorkerCounts(t *testing.T) {
 	const n = 3 * minParallel
 	for _, w := range []int{1, 2, 3, 16, 1000} {
 		var sum int64
-		ForEach(n, w, func(i int) { atomic.AddInt64(&sum, int64(i)) })
+		ForEachGrain(n, w, minParallel, func(i int) { atomic.AddInt64(&sum, int64(i)) })
 		want := int64(n) * int64(n-1) / 2
 		if sum != want {
 			t.Fatalf("workers=%d: sum=%d want %d", w, sum, want)
@@ -70,46 +70,48 @@ func TestFindSmallestHit(t *testing.T) {
 	const n = 4 * minParallel
 	targets := []int{0, 1, minParallel + 3, n - 1}
 	for _, target := range targets {
-		got := Find(n, 8, func(i int) bool { return i >= target })
-		if got != target {
-			t.Errorf("Find returned %d, want %d", got, target)
+		got, err := FindCtx(context.Background(), n, 8, func(i int) bool { return i >= target })
+		if err != nil || got != target {
+			t.Errorf("FindCtx returned (%d, %v), want %d", got, err, target)
 		}
 	}
 }
 
 func TestFindNoHit(t *testing.T) {
-	if got := Find(4*minParallel, 8, func(i int) bool { return false }); got != -1 {
-		t.Errorf("Find returned %d on no-hit input", got)
+	if got, err := FindCtx(context.Background(), 4*minParallel, 8, func(i int) bool { return false }); err != nil || got != -1 {
+		t.Errorf("FindCtx returned (%d, %v) on no-hit input", got, err)
 	}
-	if got := Find(0, 8, func(i int) bool { return true }); got != -1 {
-		t.Errorf("Find on empty range returned %d", got)
+	if got, err := FindCtx(context.Background(), 0, 8, func(i int) bool { return true }); err != nil || got != -1 {
+		t.Errorf("FindCtx on empty range returned (%d, %v)", got, err)
 	}
 }
 
 func TestFindSequentialSmall(t *testing.T) {
-	if got := Find(10, 1, func(i int) bool { return i == 7 }); got != 7 {
-		t.Errorf("sequential Find = %d", got)
+	if got, err := FindCtx(context.Background(), 10, 1, func(i int) bool { return i == 7 }); err != nil || got != 7 {
+		t.Errorf("sequential FindCtx = (%d, %v)", got, err)
 	}
 }
 
 func TestSumInt64(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 3 * minParallel} {
 		for _, w := range []int{1, 4} {
-			got := SumInt64(n, w, func(i int) int64 { return int64(i) })
+			got, err := SumInt64Ctx(context.Background(), n, w, func(i int) int64 { return int64(i) })
 			want := int64(n) * int64(n-1) / 2
-			if got != want {
-				t.Fatalf("SumInt64(n=%d,w=%d) = %d, want %d", n, w, got, want)
+			if err != nil || got != want {
+				t.Fatalf("SumInt64Ctx(n=%d,w=%d) = (%d, %v), want %d", n, w, got, err, want)
 			}
 		}
 	}
 }
 
+// TestMap pins the parallel-map idiom: ForEachGrain storing f(i) into
+// dst[i] fills every slot.
 func TestMap(t *testing.T) {
 	dst := make([]int, 5000)
-	Map(dst, 4, func(i int) int { return i * 2 })
+	ForEachGrain(len(dst), 4, minParallel, func(i int) { dst[i] = i * 2 })
 	for i, v := range dst {
 		if v != i*2 {
-			t.Fatalf("Map wrong at %d: %d", i, v)
+			t.Fatalf("map wrong at %d: %d", i, v)
 		}
 	}
 }
@@ -176,11 +178,11 @@ func TestCtxVariantsMatchPlainOnBackground(t *testing.T) {
 	ctx := context.Background()
 	const n = 3*minParallel + 7
 	var sum int64
-	if err := ForEachCtx(ctx, n, 4, func(i int) { atomic.AddInt64(&sum, int64(i)) }); err != nil {
+	if err := ForEachGrainCtx(ctx, n, 4, minParallel, func(i int) { atomic.AddInt64(&sum, int64(i)) }); err != nil {
 		t.Fatal(err)
 	}
 	if want := int64(n) * int64(n-1) / 2; sum != want {
-		t.Fatalf("ForEachCtx sum = %d, want %d", sum, want)
+		t.Fatalf("ForEachGrainCtx sum = %d, want %d", sum, want)
 	}
 	got, err := FindCtx(ctx, n, 4, func(i int) bool { return i >= minParallel })
 	if err != nil || got != minParallel {
@@ -210,8 +212,8 @@ func TestCtxVariantsCanceledBeforeStart(t *testing.T) {
 	cancel()
 	var ran int64
 	body := func(i int) { atomic.AddInt64(&ran, 1) }
-	if err := ForEachCtx(ctx, 4*minParallel, 4, body); err != context.Canceled {
-		t.Fatalf("ForEachCtx err = %v", err)
+	if err := ForEachGrainCtx(ctx, 4*minParallel, 4, minParallel, body); err != context.Canceled {
+		t.Fatalf("ForEachGrainCtx err = %v", err)
 	}
 	if err := ForEachChunkCtx(ctx, 4*minParallel, 4, func(lo, hi int) { atomic.AddInt64(&ran, int64(hi-lo)) }); err != context.Canceled {
 		t.Fatalf("ForEachChunkCtx err = %v", err)

@@ -49,9 +49,10 @@ var sortWidths = []int{2, 3, 4, 6, 8, 10, 12, 14, 16}
 // spot widths 8 and 16. The /baseline variant copies without sorting —
 // at small widths the harness copy dominates raw ns/op, so the honest
 // per-sort cost (and the ratio recorded in EXPERIMENTS.md) is
-// net of it. The kernel lookup is hoisted out of the loop via
-// sortkernels.IntKernel, as a width-aware hot caller would write it;
-// per-call dispatch cost is BenchmarkSortDispatch's subject.
+// net of it. The /kernel legs call the sortkernels entry points
+// (sortkernels.Int, Uint64, Float64) directly, with no NaN prescan
+// and no façade; the full per-call dispatch cost is
+// BenchmarkSortDispatch's subject.
 func BenchmarkGeneratedSort(b *testing.B) {
 	intf := func(rng *rand.Rand) int { return int(rng.Int63()) }
 	for _, n := range sortWidths {
@@ -60,7 +61,7 @@ func BenchmarkGeneratedSort(b *testing.B) {
 			benchSort(b, n, intf, func(s []int) {})
 		})
 		b.Run("int-n"+strconv.Itoa(n)+"/kernel", func(b *testing.B) {
-			benchSort(b, n, intf, sortkernels.IntKernel(n))
+			benchSort(b, n, intf, func(s []int) { sortkernels.Int(s) })
 		})
 		b.Run("int-n"+strconv.Itoa(n)+"/stdlib", func(b *testing.B) {
 			benchSort(b, n, intf, slices.Sort[[]int])
@@ -71,13 +72,13 @@ func BenchmarkGeneratedSort(b *testing.B) {
 	}
 	for _, n := range []int{8, 16} {
 		b.Run("uint64-n"+strconv.Itoa(n)+"/kernel", func(b *testing.B) {
-			benchSort(b, n, (*rand.Rand).Uint64, sortkernels.Uint64Kernel(n))
+			benchSort(b, n, (*rand.Rand).Uint64, func(s []uint64) { sortkernels.Uint64(s) })
 		})
 		b.Run("uint64-n"+strconv.Itoa(n)+"/stdlib", func(b *testing.B) {
 			benchSort(b, n, (*rand.Rand).Uint64, slices.Sort[[]uint64])
 		})
 		b.Run("float64-n"+strconv.Itoa(n)+"/kernel", func(b *testing.B) {
-			benchSort(b, n, (*rand.Rand).Float64, sortkernels.Float64Kernel(n))
+			benchSort(b, n, (*rand.Rand).Float64, func(s []float64) { sortkernels.Float64(s) })
 		})
 		b.Run("float64-n"+strconv.Itoa(n)+"/stdlib", func(b *testing.B) {
 			benchSort(b, n, (*rand.Rand).Float64, slices.Sort[[]float64])

@@ -1,6 +1,7 @@
 package shufflenet_test
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -116,9 +117,9 @@ func TestSortFunc(t *testing.T) {
 // Every committed kernel width is verified two ways, both exhaustive:
 // the schedule data the kernels were generated from is rebuilt into a
 // Program and checked over all 2^n 0-1 inputs on the bit-sliced (SWAR)
-// kernel, and the compiled int kernel itself is executed on all 2^n
-// 0-1 inputs (the 0-1 principle then covers arbitrary ordered inputs,
-// since the kernel is a fixed comparator schedule).
+// kernel, and every scalar entry point executes its compiled kernel on
+// all 2^n 0-1 inputs (the 0-1 principle then covers arbitrary ordered
+// inputs, since each kernel is a fixed comparator schedule).
 func TestKernelsSortAllZeroOneInputs(t *testing.T) {
 	for _, n := range sortkernels.Widths() {
 		// 1. schedule data, bit-sliced
@@ -154,25 +155,100 @@ func TestKernelsSortAllZeroOneInputs(t *testing.T) {
 				}
 			}
 		}
-		// 2. the compiled kernel itself, scalar
+		// 2. the compiled kernels themselves, through every scalar
+		// entry point: both exchange idioms (min/max on int, uint64
+		// and float64; compare-and-swap on int32 and string) and the
+		// less-callback family.
+		checkZeroOne(t, "Int", n, func(b int) int { return b }, sortkernels.Int)
+		checkZeroOne(t, "Uint64", n, func(b int) uint64 { return uint64(b) }, sortkernels.Uint64)
+		checkZeroOne(t, "Float64", n, func(b int) float64 { return float64(b) }, sortkernels.Float64)
+		checkZeroOne(t, "Ordered/int32", n, func(b int) int32 { return int32(b) }, sortkernels.Ordered[int32])
+		checkZeroOne(t, "Ordered/string", n, func(b int) string { return "01"[b : b+1] }, sortkernels.Ordered[string])
+		checkZeroOne(t, "Func", n, func(b int) int { return b }, func(s []int) bool {
+			return sortkernels.Func(s, func(a, b int) bool { return a < b })
+		})
+	}
+}
+
+// checkZeroOne replays all 2^n 0-1 inputs of width n through one
+// scalar kernel entry point, with bit b encoded as elem(b) (elem is
+// increasing, so the sorted output is the zeros then the ones).
+func checkZeroOne[T comparable](t *testing.T, name string, n int, elem func(b int) T, sort func([]T) bool) {
+	t.Helper()
+	zero, one := elem(0), elem(1)
+	in := make([]T, n)
+	for mask := 0; mask < 1<<n; mask++ {
+		ones := 0
+		for w := 0; w < n; w++ {
+			in[w] = elem(mask >> w & 1)
+			ones += mask >> w & 1
+		}
+		if !sort(in) {
+			t.Fatalf("width %d: no %s kernel", n, name)
+		}
+		for w := 0; w < n; w++ {
+			want := zero
+			if w >= n-ones {
+				want = one
+			}
+			if in[w] != want {
+				t.Fatalf("width %d: %s kernel fails 0-1 input mask %d: %v", n, name, mask, in)
+			}
+		}
+	}
+}
+
+// SortFunc must run exactly one less call per comparator of the
+// width's kernel — the kernel alone, with no second sort behind it.
+func TestSortFuncCallsLessOncePerComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for n := 2; n <= sortkernels.MaxWidth; n++ {
 		in := make([]int, n)
-		for mask := 0; mask < 1<<n; mask++ {
-			ones := 0
-			for w := 0; w < n; w++ {
-				in[w] = mask >> w & 1
-				ones += in[w]
+		for i := range in {
+			in[i] = rng.Intn(100)
+		}
+		calls := 0
+		shufflenet.SortFunc(in, func(a, b int) bool { calls++; return a < b })
+		if calls != sortkernels.Size(n) {
+			t.Errorf("n=%d: SortFunc called less %d times, want the kernel size %d", n, calls, sortkernels.Size(n))
+		}
+		if !slices.IsSorted(in) {
+			t.Errorf("n=%d: SortFunc left %v unsorted", n, in)
+		}
+	}
+}
+
+// Sort on float64 keeps the exact bit patterns as a multiset: rows
+// full of ±0 and extremes come out sorted with no value canonicalized
+// (the min/max kernels order -0 before +0, slices.Sort may not, so
+// the bits are compared as a multiset).
+func TestSortFloat64PreservesBitMultiset(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	negZero := math.Copysign(0, -1)
+	pool := []float64{0, negZero, 1, -1, math.Inf(1), math.Inf(-1), 5e-324, math.MaxFloat64, -5e-324}
+	for n := 2; n <= sortkernels.MaxWidth; n++ {
+		for trial := 0; trial < 50; trial++ {
+			in := make([]float64, n)
+			for i := range in {
+				in[i] = pool[rng.Intn(len(pool))]
 			}
-			if !sortkernels.Int(in) {
-				t.Fatalf("width %d: no int kernel", n)
+			got := slices.Clone(in)
+			shufflenet.Sort(got)
+			want := slices.Clone(in)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("Sort(%v) = %v, want %v", in, got, want)
 			}
-			for w := 0; w < n; w++ {
-				want := 0
-				if w >= n-ones {
-					want = 1
+			bits := func(s []float64) []uint64 {
+				out := make([]uint64, len(s))
+				for i, v := range s {
+					out[i] = math.Float64bits(v)
 				}
-				if in[w] != want {
-					t.Fatalf("width %d: Sort%dInt fails 0-1 input mask %d: %v", n, n, mask, in)
-				}
+				slices.Sort(out)
+				return out
+			}
+			if !slices.Equal(bits(got), bits(in)) {
+				t.Fatalf("Sort(%v) = %v: bit multiset changed", in, got)
 			}
 		}
 	}
@@ -205,13 +281,15 @@ func flatten(levels [][][2]int) [][2]int {
 }
 
 // FuzzSortT cross-checks Sort against slices.Sort on fuzzer-chosen
-// inputs for every fast-pathed element type. Float64 lanes skip NaN
-// payloads (NaN ordering is documented as unspecified); the multiset
-// property under NaN has its own test.
+// inputs for every fast-pathed element type. The float64 lane skips
+// NaN payloads so that it can compare with ==; the float32 lane keeps
+// them (every NaN bit pattern included) and compares under
+// cmp.Compare, which orders NaNs first and equal to each other.
 func FuzzSortT(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte{0xff, 0x00, 0x80, 0x7f})
 	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0x40, 0x40, 1, 0, 0xc0, 0x7f, 0, 0, 0x80, 0x3f, 0, 0, 0x80, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 8*64 {
 			data = data[:8*64]
@@ -232,9 +310,20 @@ func FuzzSortT(f *testing.F) {
 		for i := 0; i < cap(ss); i++ {
 			ss = append(ss, string(data[i%max(1, len(data)):]))
 		}
+		f32 := make([]float32, 0, len(data)/4)
+		for i := 0; i+4 <= len(data); i += 4 {
+			f32 = append(f32, math.Float32frombits(binary.LittleEndian.Uint32(data[i:])))
+		}
 		checkSort(t, ints)
 		checkSort(t, us)
 		checkSort(t, fs)
 		checkSort(t, ss)
+		got := slices.Clone(f32)
+		want := slices.Clone(f32)
+		shufflenet.Sort(got)
+		slices.Sort(want)
+		if slices.CompareFunc(got, want, cmp.Compare[float32]) != 0 {
+			t.Fatalf("Sort(%v) = %v, want %v", f32, got, want)
+		}
 	})
 }

@@ -24,8 +24,8 @@ const batchMinRows = 8
 //
 // len(data) must be a multiple of m (it panics otherwise: a malformed
 // shape cannot be sorted meaningfully). Widths above
-// sortkernels.BatchMaxWidth (16) and float64 batches containing NaN
-// are handled row by row with Sort semantics.
+// sortkernels.BatchMaxWidth (16) and batches containing NaN are
+// handled row by row with Sort semantics.
 func SortBatchCols[T cmp.Ordered](data []T, m int) {
 	if m <= 0 {
 		if len(data) != 0 || m < 0 {
@@ -40,26 +40,8 @@ func SortBatchCols[T cmp.Ordered](data []T, m int) {
 	if n < 2 {
 		return
 	}
-	switch s := any(data).(type) {
-	case []int:
-		if sortkernels.BatchInt(s, m) {
-			return
-		}
-	case []uint64:
-		if sortkernels.BatchUint64(s, m) {
-			return
-		}
-	case []float64:
-		if hasNaN(s) {
-			break
-		}
-		if sortkernels.BatchFloat64(s, m) {
-			return
-		}
-	default:
-		if sortkernels.BatchOrdered(data, m) {
-			return
-		}
+	if !hasNaN(data) && sortkernels.Batch(data, m) {
+		return
 	}
 	// No kernel of this width (or NaNs present): gather each strided
 	// row, sort it with full Sort semantics, scatter it back.
@@ -81,8 +63,8 @@ func SortBatchCols[T cmp.Ordered](data []T, m int) {
 // it runs the columnar batch kernels through pooled transpose scratch;
 // otherwise it sorts row by row.
 //
-// len(data) must be a multiple of width (it panics otherwise). Float64
-// batches containing NaN fall back to per-row Sort semantics.
+// len(data) must be a multiple of width (it panics otherwise). Batches
+// containing NaN fall back to per-row Sort semantics.
 func SortBatchFlat[T cmp.Ordered](data []T, width int) {
 	if width <= 0 {
 		if len(data) != 0 || width < 0 {
@@ -97,28 +79,8 @@ func SortBatchFlat[T cmp.Ordered](data []T, width int) {
 	if width < 2 {
 		return
 	}
-	if width <= sortkernels.BatchMaxWidth && m >= batchMinRows {
-		switch s := any(data).(type) {
-		case []int:
-			if sortkernels.BatchFlatInt(s, width) {
-				return
-			}
-		case []uint64:
-			if sortkernels.BatchFlatUint64(s, width) {
-				return
-			}
-		case []float64:
-			if hasNaN(s) {
-				break
-			}
-			if sortkernels.BatchFlatFloat64(s, width) {
-				return
-			}
-		default:
-			if sortkernels.BatchFlatOrdered(data, width) {
-				return
-			}
-		}
+	if width <= sortkernels.BatchMaxWidth && m >= batchMinRows && !hasNaN(data) && sortkernels.BatchFlat(data, width) {
+		return
 	}
 	for r := 0; r < m; r++ {
 		Sort(data[r*width : (r+1)*width])
@@ -156,10 +118,10 @@ func sortBatchGathered[T cmp.Ordered](batch [][]T, width int, pool *sync.Pool) {
 // one kernel width (2..16) and the batch is big enough to amortize the
 // gather, the concrete int, uint64 and float64 element types are
 // copied through a pooled row-major buffer and sorted by the columnar
-// batch kernels in one pass; everything else — ragged batches, long or
-// tiny slices, other element types, float64 batches containing NaN —
-// is sorted slice by slice with Sort. Either way the result equals
-// calling Sort on every slice.
+// batch kernels in one pass (SortBatchFlat's NaN prescan included);
+// everything else — ragged batches, long or tiny slices, other element
+// types — is sorted slice by slice with Sort. Either way the result
+// equals calling Sort on every slice.
 func SortBatch[T cmp.Ordered](batch [][]T) {
 	if len(batch) >= batchMinRows {
 		width := len(batch[0])
@@ -179,17 +141,8 @@ func SortBatch[T cmp.Ordered](batch [][]T) {
 				sortBatchGathered(b, width, &batchUint64Pool)
 				return
 			case [][]float64:
-				nan := false
-				for _, row := range b {
-					if hasNaN(row) {
-						nan = true
-						break
-					}
-				}
-				if !nan {
-					sortBatchGathered(b, width, &batchFloat64Pool)
-					return
-				}
+				sortBatchGathered(b, width, &batchFloat64Pool)
+				return
 			}
 		}
 	}

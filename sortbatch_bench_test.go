@@ -163,10 +163,12 @@ func BenchmarkSortBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchKernel: the raw columnar kernels with the SIMD switch
-// pinned each way — the comparator schedule is branchless and
-// data-independent, so re-sorting sorted data costs the same and no
-// per-op copy is needed; these numbers are pure kernel cost.
+// BenchmarkBatchKernel: the columnar kernels behind sortkernels.Batch
+// (no NaN prescan, no façade) with the SIMD switch pinned each way —
+// the comparator schedule is branchless and data-independent, so
+// re-sorting sorted data costs the same and no per-op copy is needed;
+// these numbers are kernel cost plus one shape check and dispatch per
+// call.
 func BenchmarkBatchKernel(b *testing.B) {
 	const m = 1024
 	rng := rand.New(rand.NewSource(42))
@@ -185,11 +187,10 @@ func BenchmarkBatchKernel(b *testing.B) {
 			b.Run(fmt.Sprintf("cols-%s/int-n%d-m%d", impl.name, n, m), func(b *testing.B) {
 				prev := sortkernels.SetBatchSIMD(impl.simd)
 				defer sortkernels.SetBatchSIMD(prev)
-				k := sortkernels.BatchIntKernel(n)
 				b.ReportAllocs()
 				b.SetBytes(int64(n * m * 8))
 				for i := 0; i < b.N; i++ {
-					k(data, m)
+					sortkernels.Batch(data, m)
 				}
 			})
 		}
@@ -200,11 +201,10 @@ func BenchmarkBatchKernel(b *testing.B) {
 		b.Run(fmt.Sprintf("cols-%s/float64-n8-m%d", impl.name, m), func(b *testing.B) {
 			prev := sortkernels.SetBatchSIMD(impl.simd)
 			defer sortkernels.SetBatchSIMD(prev)
-			k := sortkernels.BatchFloat64Kernel(8)
 			b.ReportAllocs()
 			b.SetBytes(int64(8 * m * 8))
 			for i := 0; i < b.N; i++ {
-				k(data, m)
+				sortkernels.Batch(data, m)
 			}
 		})
 	}

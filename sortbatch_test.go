@@ -38,7 +38,8 @@ func eachBatchImpl(t *testing.T, fn func(t *testing.T)) {
 // TestBatchKernelsSortAllZeroOneInputs is the exhaustive 0-1
 // verification of every committed batch kernel: for each width n, one
 // batch holding all 2^n bit rows, sorted in a single call, for both
-// layouts, every element family, and every implementation. By the 0-1
+// layouts, both exchange idioms (min/max on int, uint64 and float64;
+// compare-and-swap on string), and every implementation. By the 0-1
 // principle a width-n kernel that sorts all 2^n such rows sorts
 // everything.
 func TestBatchKernelsSortAllZeroOneInputs(t *testing.T) {
@@ -72,10 +73,10 @@ func TestBatchKernelsSortAllZeroOneInputs(t *testing.T) {
 				}
 			}
 			for name, ok := range map[string]bool{
-				"int":     sortkernels.BatchInt(cols, rows),
-				"uint64":  sortkernels.BatchUint64(colsU, rows),
-				"float64": sortkernels.BatchFloat64(colsF, rows),
-				"ordered": sortkernels.BatchOrdered(colsS, rows),
+				"int":     sortkernels.Batch(cols, rows),
+				"uint64":  sortkernels.Batch(colsU, rows),
+				"float64": sortkernels.Batch(colsF, rows),
+				"string":  sortkernels.Batch(colsS, rows),
 			} {
 				if !ok {
 					t.Fatalf("n=%d: Batch %s kernel missing", n, name)
@@ -85,7 +86,7 @@ func TestBatchKernelsSortAllZeroOneInputs(t *testing.T) {
 				checkRow("cols/int", r, func(w int) int { return cols[w*rows+r] })
 				checkRow("cols/uint64", r, func(w int) int { return int(colsU[w*rows+r]) })
 				checkRow("cols/float64", r, func(w int) int { return int(colsF[w*rows+r]) })
-				checkRow("cols/ordered", r, func(w int) int { return int(colsS[w*rows+r][0] - '0') })
+				checkRow("cols/string", r, func(w int) int { return int(colsS[w*rows+r][0] - '0') })
 			}
 
 			// Row-major: element (row r, slot w) at data[r*n+w].
@@ -101,10 +102,10 @@ func TestBatchKernelsSortAllZeroOneInputs(t *testing.T) {
 				}
 			}
 			for name, ok := range map[string]bool{
-				"int":     sortkernels.BatchFlatInt(flat, n),
-				"uint64":  sortkernels.BatchFlatUint64(flatU, n),
-				"float64": sortkernels.BatchFlatFloat64(flatF, n),
-				"ordered": sortkernels.BatchFlatOrdered(flatS, n),
+				"int":     sortkernels.BatchFlat(flat, n),
+				"uint64":  sortkernels.BatchFlat(flatU, n),
+				"float64": sortkernels.BatchFlat(flatF, n),
+				"string":  sortkernels.BatchFlat(flatS, n),
 			} {
 				if !ok {
 					t.Fatalf("n=%d: BatchFlat %s kernel missing", n, name)
@@ -114,7 +115,7 @@ func TestBatchKernelsSortAllZeroOneInputs(t *testing.T) {
 				checkRow("flat/int", r, func(w int) int { return flat[r*n+w] })
 				checkRow("flat/uint64", r, func(w int) int { return int(flatU[r*n+w]) })
 				checkRow("flat/float64", r, func(w int) int { return int(flatF[r*n+w]) })
-				checkRow("flat/ordered", r, func(w int) int { return int(flatS[r*n+w][0] - '0') })
+				checkRow("flat/string", r, func(w int) int { return int(flatS[r*n+w][0] - '0') })
 			}
 		}
 	})
@@ -166,7 +167,7 @@ func TestBatchKernelsMatchSlicesSort(t *testing.T) {
 					slices.Sort(wantI[r])
 					slices.Sort(wantF[r])
 				}
-				if !sortkernels.BatchUint64(cols, m) || !sortkernels.BatchInt(colsI, m) || !sortkernels.BatchFloat64(colsF, m) {
+				if !sortkernels.Batch(cols, m) || !sortkernels.Batch(colsI, m) || !sortkernels.Batch(colsF, m) {
 					t.Fatalf("n=%d m=%d: batch kernel missing", n, m)
 				}
 				flat := make([]uint64, len(vals))
@@ -175,7 +176,7 @@ func TestBatchKernelsMatchSlicesSort(t *testing.T) {
 						flat[r*n+w] = vals[w*m+r]
 					}
 				}
-				if !sortkernels.BatchFlatUint64(flat, n) {
+				if !sortkernels.BatchFlat(flat, n) {
 					t.Fatalf("n=%d m=%d: flat batch kernel missing", n, m)
 				}
 				for r := 0; r < m; r++ {
@@ -223,7 +224,7 @@ func TestBatchFloat64PreservesBitMultiset(t *testing.T) {
 					slices.Sort(row)
 					wantBits[r] = row
 				}
-				if !sortkernels.BatchFloat64(data, m) {
+				if !sortkernels.Batch(data, m) {
 					t.Fatalf("n=%d: no float64 batch kernel", n)
 				}
 				for r := 0; r < m; r++ {
@@ -252,13 +253,13 @@ func TestBatchRejectsBadShapes(t *testing.T) {
 		name string
 		ok   bool
 	}{
-		{"non-multiple", sortkernels.BatchInt(data, 2)},
-		{"negative", sortkernels.BatchInt(data, -1)},
-		{"zero rows", sortkernels.BatchInt(data, 0)},
-		{"flat non-multiple", sortkernels.BatchFlatInt(data, 2)},
-		{"flat zero width", sortkernels.BatchFlatInt(data, 0)},
-		{"too wide", sortkernels.BatchInt(make([]int, sortkernels.BatchMaxWidth+1), 1)},
-		{"flat too wide", sortkernels.BatchFlatInt(make([]int, sortkernels.BatchMaxWidth+1), sortkernels.BatchMaxWidth+1)},
+		{"non-multiple", sortkernels.Batch(data, 2)},
+		{"negative", sortkernels.Batch(data, -1)},
+		{"zero rows", sortkernels.Batch(data, 0)},
+		{"flat non-multiple", sortkernels.BatchFlat(data, 2)},
+		{"flat zero width", sortkernels.BatchFlat(data, 0)},
+		{"too wide", sortkernels.Batch(make([]int, sortkernels.BatchMaxWidth+1), 1)},
+		{"flat too wide", sortkernels.BatchFlat(make([]int, sortkernels.BatchMaxWidth+1), sortkernels.BatchMaxWidth+1)},
 	} {
 		if tc.ok {
 			t.Errorf("%s: accepted", tc.name)
@@ -271,11 +272,11 @@ func TestBatchRejectsBadShapes(t *testing.T) {
 		name string
 		ok   bool
 	}{
-		{"empty", sortkernels.BatchInt(nil, 0)},
-		{"empty rows", sortkernels.BatchInt(nil, 7)},
-		{"width 1", sortkernels.BatchInt([]int{2, 1}, 2)},
-		{"flat empty", sortkernels.BatchFlatInt(nil, 3)},
-		{"flat width 1", sortkernels.BatchFlatInt([]int{2, 1}, 1)},
+		{"empty", sortkernels.Batch([]int(nil), 0)},
+		{"empty rows", sortkernels.Batch([]int(nil), 7)},
+		{"width 1", sortkernels.Batch([]int{2, 1}, 2)},
+		{"flat empty", sortkernels.BatchFlat([]int(nil), 3)},
+		{"flat width 1", sortkernels.BatchFlat([]int{2, 1}, 1)},
 	} {
 		if !tc.ok {
 			t.Errorf("%s: rejected", tc.name)
@@ -393,7 +394,7 @@ func TestSortBatchColsAndFlat(t *testing.T) {
 			}
 		}
 
-		// Generic element type through the Ordered batch kernels.
+		// Generic element type through the compare-and-swap batch kernels.
 		words := []string{"pear", "fig", "apple", "yuzu", "kiwi", "date", "plum", "lime"}
 		m := 37
 		colsS := make([]string, 4*m)
@@ -414,6 +415,87 @@ func TestSortBatchColsAndFlat(t *testing.T) {
 			}
 		}
 	})
+}
+
+// kelvin is a named float type: no kernel family is chosen for it by
+// name, so it exercises the generic NaN prescan.
+type kelvin float64
+
+// TestSortBatchNaNEveryFloatType pins the NaN prescan on every float
+// element type, not just float64: float32 and a named float type, with
+// NaN rows, through Sort, SortBatch, SortBatchFlat and SortBatchCols,
+// must all match slices.Sort under cmp.Compare (NaNs first).
+func TestSortBatchNaNEveryFloatType(t *testing.T) {
+	eachBatchImpl(t, func(t *testing.T) {
+		checkNaNEveryAPI(t, "float32", func(v float64) float32 { return float32(v) })
+		checkNaNEveryAPI(t, "kelvin", func(v float64) kelvin { return kelvin(v) })
+	})
+}
+
+func checkNaNEveryAPI[T cmp.Ordered](t *testing.T, name string, conv func(float64) T) {
+	t.Helper()
+	// The reported reproduction first: 3, NaN, 1, 2 in every row of a
+	// batch deep enough for the kernel path.
+	const m = 16
+	rows := make([][]T, m)
+	for r := range rows {
+		rows[r] = []T{conv(3), conv(math.NaN()), conv(1), conv(2)}
+	}
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{2, 5, 8, 16, 17} {
+		for r := 0; r < m; r++ {
+			row := make([]T, n)
+			for w := range row {
+				row[w] = conv(float64(rng.Intn(9)) - 4)
+			}
+			if rng.Intn(2) == 0 {
+				row[rng.Intn(n)] = conv(math.NaN())
+			}
+			rows = append(rows, row)
+		}
+	}
+	for start := 0; start < len(rows); start += m {
+		batch := rows[start : start+m]
+		n := len(batch[0])
+		want := sortBatchWant(batch)
+		tag := fmt.Sprintf("%s n=%d", name, n)
+
+		perRow := make([][]T, m)
+		for r, row := range batch {
+			perRow[r] = slices.Clone(row)
+			Sort(perRow[r])
+		}
+		checkBatchEqual(t, tag+" Sort", perRow, want)
+
+		gathered := make([][]T, m)
+		for r, row := range batch {
+			gathered[r] = slices.Clone(row)
+		}
+		SortBatch(gathered)
+		checkBatchEqual(t, tag+" SortBatch", gathered, want)
+
+		flat := make([]T, 0, n*m)
+		cols := make([]T, n*m)
+		for r, row := range batch {
+			flat = append(flat, row...)
+			for w, v := range row {
+				cols[w*m+r] = v
+			}
+		}
+		SortBatchFlat(flat, n)
+		SortBatchCols(cols, m)
+		gotFlat := make([][]T, m)
+		gotCols := make([][]T, m)
+		for r := range batch {
+			gotFlat[r] = flat[r*n : (r+1)*n]
+			gotCols[r] = make([]T, n)
+			for w := range gotCols[r] {
+				gotCols[r][w] = cols[w*m+r]
+			}
+		}
+		checkBatchEqual(t, tag+" SortBatchFlat", gotFlat, want)
+		checkBatchEqual(t, tag+" SortBatchCols", gotCols, want)
+	}
 }
 
 // TestSortBatchPanicsOnBadShape pins the façade contract for shapes no
@@ -441,8 +523,8 @@ func TestSortBatchPanicsOnBadShape(t *testing.T) {
 }
 
 // TestSortDispatchZeroAlloc pins the dispatch paths as allocation-free:
-// Sort's kernel lookup is a width-indexed table load, and the columnar
-// batch entry point runs fully in place.
+// Sort's kernel lookup is a type switch plus a width switch, and the
+// columnar batch entry point runs fully in place.
 func TestSortDispatchZeroAlloc(t *testing.T) {
 	s := []int{5, 2, 7, 1, 8, 3, 6, 4}
 	if n := testing.AllocsPerRun(100, func() { Sort(s) }); n != 0 {

@@ -2,12 +2,12 @@
 
 // Batch entry points: sort many same-width slices per call.
 //
-// Batch<Kind> takes the column-major ("vertical") layout — data holds
-// n columns of length m, column w at data[w*m:(w+1)*m], and logical
-// row r is the n values {data[w*m+r]}. Every row is sorted in place.
-// BatchFlat<Kind> takes the row-major layout — m contiguous rows of
-// width n. Both report whether a kernel of that width was available;
-// on false the data is untouched.
+// Batch takes the column-major ("vertical") layout — data holds n
+// columns of length m, column w at data[w*m:(w+1)*m], and logical row
+// r is the n values {data[w*m+r]}. Every row is sorted in place.
+// BatchFlat takes the row-major layout — m contiguous rows of width n.
+// Both report whether a kernel of that width was available; on false
+// the data is untouched.
 package sortkernels
 
 import (
@@ -87,319 +87,39 @@ func batchFlatDims(lenData, width, maxWidth int) (m int, trivial, ok bool) {
 	return m, width < 2, true
 }
 
-// batchTransTo and batchTransFrom hold the AVX-512 transpose helpers
-// between the row-major and column-major layouts (filled in by the
-// amd64 init; element type is any 64-bit scalar, hence the untyped
-// pointers). batchTransTo[n] gathers m rows of width n into columns;
-// batchTransFrom[n] scatters them back.
+// Rows of simdCols: the element types the AVX-512 kernels serve.
+const (
+	simdInt = iota
+	simdUint64
+	simdFloat64
+)
+
+// simdCols holds the AVX-512 columnar kernels by element type and
+// width, and batchTransTo and batchTransFrom the transposes between the
+// row-major and column-major layouts: batchTransTo[n] gathers m rows of
+// width n into columns, batchTransFrom[n] scatters them back. The amd64
+// init fills them in when the CPU supports AVX-512; every element is a
+// 64-bit scalar, hence the untyped pointers.
 var (
+	simdCols       [3][BatchMaxWidth + 1]func(base unsafe.Pointer, m int)
 	batchTransTo   [BatchMaxWidth + 1]func(dst, src unsafe.Pointer, m int)
 	batchTransFrom [BatchMaxWidth + 1]func(dst, src unsafe.Pointer, m int)
 )
 
-var batchColsIntKernels = [BatchMaxWidth + 1]func(data []int, m int){
-	2:  batchCols2Int,
-	3:  batchCols3Int,
-	4:  batchCols4Int,
-	5:  batchCols5Int,
-	6:  batchCols6Int,
-	7:  batchCols7Int,
-	8:  batchCols8Int,
-	9:  batchCols9Int,
-	10: batchCols10Int,
-	11: batchCols11Int,
-	12: batchCols12Int,
-	13: batchCols13Int,
-	14: batchCols14Int,
-	15: batchCols15Int,
-	16: batchCols16Int,
-}
+// batchScratch pools the column-major scratch of the row-major SIMD
+// path, shared by the 64-bit element types.
+var batchScratch = sync.Pool{New: func() any { return new([]uint64) }}
 
-var batchFlatIntKernels = [BatchMaxWidth + 1]func(data []int, m int){
-	2:  batchFlat2Int,
-	3:  batchFlat3Int,
-	4:  batchFlat4Int,
-	5:  batchFlat5Int,
-	6:  batchFlat6Int,
-	7:  batchFlat7Int,
-	8:  batchFlat8Int,
-	9:  batchFlat9Int,
-	10: batchFlat10Int,
-	11: batchFlat11Int,
-	12: batchFlat12Int,
-	13: batchFlat13Int,
-	14: batchFlat14Int,
-	15: batchFlat15Int,
-	16: batchFlat16Int,
-}
-
-// simdColsIntKernels is filled in by the amd64 init when AVX-512 is
-// available.
-var simdColsIntKernels [BatchMaxWidth + 1]func(data []int, m int)
-
-var batchScratchInt = sync.Pool{New: func() any { return new([]int) }}
-
-// BatchInt sorts, in place, every row of the column-major batch:
-// data holds len(data)/m columns of length m, column w at
+// Batch sorts, in place, every row of the column-major batch: data
+// holds len(data)/m columns of length m, column w at
 // data[w*m:(w+1)*m]. It reports whether a kernel of that width was
 // available; on false the data is untouched.
-func BatchInt(data []int, m int) bool {
-	n, trivial, ok := batchDims(len(data), m, BatchMaxWidth)
-	if !ok {
-		return false
-	}
-	if trivial {
-		return true
-	}
-	if batchSIMDOn {
-		if k := simdColsIntKernels[n]; k != nil {
-			k(data, m)
-			return true
-		}
-	}
-	if k := batchColsIntKernels[n]; k != nil {
-		k(data, m)
-		return true
-	}
-	return false
-}
-
-// BatchFlatInt sorts, in place, every row of the row-major batch:
-// data holds len(data)/width contiguous rows of the given width. It
-// reports whether a kernel of that width was available; on false the
-// data is untouched.
-func BatchFlatInt(data []int, width int) bool {
-	m, trivial, ok := batchFlatDims(len(data), width, BatchMaxWidth)
-	if !ok {
-		return false
-	}
-	if trivial {
-		return true
-	}
-	if batchSIMDOn {
-		if k := simdColsIntKernels[width]; k != nil && batchTransTo[width] != nil {
-			sp := batchScratchInt.Get().(*[]int)
-			s := *sp
-			if cap(s) < len(data) {
-				s = make([]int, len(data))
-			}
-			s = s[:len(data)]
-			batchTransTo[width](unsafe.Pointer(&s[0]), unsafe.Pointer(&data[0]), m)
-			k(s, m)
-			batchTransFrom[width](unsafe.Pointer(&data[0]), unsafe.Pointer(&s[0]), m)
-			*sp = s
-			batchScratchInt.Put(sp)
-			return true
-		}
-	}
-	if k := batchFlatIntKernels[width]; k != nil {
-		k(data, m)
-		return true
-	}
-	return false
-}
-
-// BatchIntKernel returns the width-n column-major batch kernel that a
-// BatchInt call would run right now (AVX-512 when enabled), or nil when
-// none exists. Hot loops can hoist the lookup.
-func BatchIntKernel(n int) func(data []int, m int) {
-	if n < BatchMinWidth || n > BatchMaxWidth {
-		return nil
-	}
-	if batchSIMDOn {
-		if k := simdColsIntKernels[n]; k != nil {
-			return k
-		}
-	}
-	return batchColsIntKernels[n]
-}
-
-// BatchFlatIntKernel returns the portable width-n row-major batch
-// kernel, or nil when none exists. (The SIMD row-major path needs
-// transpose scratch and lives only behind BatchFlatInt.)
-func BatchFlatIntKernel(n int) func(data []int, m int) {
-	if n < BatchMinWidth || n > BatchMaxWidth {
-		return nil
-	}
-	return batchFlatIntKernels[n]
-}
-
-var batchColsUint64Kernels = [BatchMaxWidth + 1]func(data []uint64, m int){
-	2:  batchCols2Uint64,
-	3:  batchCols3Uint64,
-	4:  batchCols4Uint64,
-	5:  batchCols5Uint64,
-	6:  batchCols6Uint64,
-	7:  batchCols7Uint64,
-	8:  batchCols8Uint64,
-	9:  batchCols9Uint64,
-	10: batchCols10Uint64,
-	11: batchCols11Uint64,
-	12: batchCols12Uint64,
-	13: batchCols13Uint64,
-	14: batchCols14Uint64,
-	15: batchCols15Uint64,
-	16: batchCols16Uint64,
-}
-
-var batchFlatUint64Kernels = [BatchMaxWidth + 1]func(data []uint64, m int){
-	2:  batchFlat2Uint64,
-	3:  batchFlat3Uint64,
-	4:  batchFlat4Uint64,
-	5:  batchFlat5Uint64,
-	6:  batchFlat6Uint64,
-	7:  batchFlat7Uint64,
-	8:  batchFlat8Uint64,
-	9:  batchFlat9Uint64,
-	10: batchFlat10Uint64,
-	11: batchFlat11Uint64,
-	12: batchFlat12Uint64,
-	13: batchFlat13Uint64,
-	14: batchFlat14Uint64,
-	15: batchFlat15Uint64,
-	16: batchFlat16Uint64,
-}
-
-// simdColsUint64Kernels is filled in by the amd64 init when AVX-512 is
-// available.
-var simdColsUint64Kernels [BatchMaxWidth + 1]func(data []uint64, m int)
-
-var batchScratchUint64 = sync.Pool{New: func() any { return new([]uint64) }}
-
-// BatchUint64 sorts, in place, every row of the column-major batch:
-// data holds len(data)/m columns of length m, column w at
-// data[w*m:(w+1)*m]. It reports whether a kernel of that width was
-// available; on false the data is untouched.
-func BatchUint64(data []uint64, m int) bool {
-	n, trivial, ok := batchDims(len(data), m, BatchMaxWidth)
-	if !ok {
-		return false
-	}
-	if trivial {
-		return true
-	}
-	if batchSIMDOn {
-		if k := simdColsUint64Kernels[n]; k != nil {
-			k(data, m)
-			return true
-		}
-	}
-	if k := batchColsUint64Kernels[n]; k != nil {
-		k(data, m)
-		return true
-	}
-	return false
-}
-
-// BatchFlatUint64 sorts, in place, every row of the row-major batch:
-// data holds len(data)/width contiguous rows of the given width. It
-// reports whether a kernel of that width was available; on false the
-// data is untouched.
-func BatchFlatUint64(data []uint64, width int) bool {
-	m, trivial, ok := batchFlatDims(len(data), width, BatchMaxWidth)
-	if !ok {
-		return false
-	}
-	if trivial {
-		return true
-	}
-	if batchSIMDOn {
-		if k := simdColsUint64Kernels[width]; k != nil && batchTransTo[width] != nil {
-			sp := batchScratchUint64.Get().(*[]uint64)
-			s := *sp
-			if cap(s) < len(data) {
-				s = make([]uint64, len(data))
-			}
-			s = s[:len(data)]
-			batchTransTo[width](unsafe.Pointer(&s[0]), unsafe.Pointer(&data[0]), m)
-			k(s, m)
-			batchTransFrom[width](unsafe.Pointer(&data[0]), unsafe.Pointer(&s[0]), m)
-			*sp = s
-			batchScratchUint64.Put(sp)
-			return true
-		}
-	}
-	if k := batchFlatUint64Kernels[width]; k != nil {
-		k(data, m)
-		return true
-	}
-	return false
-}
-
-// BatchUint64Kernel returns the width-n column-major batch kernel that a
-// BatchUint64 call would run right now (AVX-512 when enabled), or nil when
-// none exists. Hot loops can hoist the lookup.
-func BatchUint64Kernel(n int) func(data []uint64, m int) {
-	if n < BatchMinWidth || n > BatchMaxWidth {
-		return nil
-	}
-	if batchSIMDOn {
-		if k := simdColsUint64Kernels[n]; k != nil {
-			return k
-		}
-	}
-	return batchColsUint64Kernels[n]
-}
-
-// BatchFlatUint64Kernel returns the portable width-n row-major batch
-// kernel, or nil when none exists. (The SIMD row-major path needs
-// transpose scratch and lives only behind BatchFlatUint64.)
-func BatchFlatUint64Kernel(n int) func(data []uint64, m int) {
-	if n < BatchMinWidth || n > BatchMaxWidth {
-		return nil
-	}
-	return batchFlatUint64Kernels[n]
-}
-
-var batchColsFloat64Kernels = [BatchMaxWidth + 1]func(data []float64, m int){
-	2:  batchCols2Float64,
-	3:  batchCols3Float64,
-	4:  batchCols4Float64,
-	5:  batchCols5Float64,
-	6:  batchCols6Float64,
-	7:  batchCols7Float64,
-	8:  batchCols8Float64,
-	9:  batchCols9Float64,
-	10: batchCols10Float64,
-	11: batchCols11Float64,
-	12: batchCols12Float64,
-	13: batchCols13Float64,
-	14: batchCols14Float64,
-	15: batchCols15Float64,
-	16: batchCols16Float64,
-}
-
-var batchFlatFloat64Kernels = [BatchMaxWidth + 1]func(data []float64, m int){
-	2:  batchFlat2Float64,
-	3:  batchFlat3Float64,
-	4:  batchFlat4Float64,
-	5:  batchFlat5Float64,
-	6:  batchFlat6Float64,
-	7:  batchFlat7Float64,
-	8:  batchFlat8Float64,
-	9:  batchFlat9Float64,
-	10: batchFlat10Float64,
-	11: batchFlat11Float64,
-	12: batchFlat12Float64,
-	13: batchFlat13Float64,
-	14: batchFlat14Float64,
-	15: batchFlat15Float64,
-	16: batchFlat16Float64,
-}
-
-// simdColsFloat64Kernels is filled in by the amd64 init when AVX-512 is
-// available.
-var simdColsFloat64Kernels [BatchMaxWidth + 1]func(data []float64, m int)
-
-var batchScratchFloat64 = sync.Pool{New: func() any { return new([]float64) }}
-
-// BatchFloat64 sorts, in place, every row of the column-major batch:
-// data holds len(data)/m columns of length m, column w at
-// data[w*m:(w+1)*m]. It reports whether a kernel of that width was
-// available; on false the data is untouched.
-// Input must be NaN-free (shufflenet.SortBatch prescans); ±0 bit
+//
+// The element type picks the exchange idiom: int, uint64 and float64
+// take the min/max kernels, every other type the compare-and-swap
+// kernels. Float64 input must be NaN-free (callers prescan); ±0 bit
 // patterns are preserved as a multiset.
-func BatchFloat64(data []float64, m int) bool {
+func Batch[T cmp.Ordered](data []T, m int) bool {
 	n, trivial, ok := batchDims(len(data), m, BatchMaxWidth)
 	if !ok {
 		return false
@@ -407,25 +127,27 @@ func BatchFloat64(data []float64, m int) bool {
 	if trivial {
 		return true
 	}
-	if batchSIMDOn {
-		if k := simdColsFloat64Kernels[n]; k != nil {
-			k(data, m)
-			return true
-		}
+	switch v := any(data).(type) {
+	case []int:
+		return colsMinMax(v, m, n, simdInt)
+	case []uint64:
+		return colsMinMax(v, m, n, simdUint64)
+	case []float64:
+		return colsMinMax(v, m, n, simdFloat64)
 	}
-	if k := batchColsFloat64Kernels[n]; k != nil {
-		k(data, m)
-		return true
-	}
-	return false
+	return colsSwap(data, m, n)
 }
 
-// BatchFlatFloat64 sorts, in place, every row of the row-major batch:
-// data holds len(data)/width contiguous rows of the given width. It
+// BatchFlat sorts, in place, every row of the row-major batch: data
+// holds len(data)/width contiguous rows of the given width. It
 // reports whether a kernel of that width was available; on false the
 // data is untouched.
-// Input must be NaN-free (shufflenet.SortBatchFlat prescans).
-func BatchFlatFloat64(data []float64, width int) bool {
+//
+// The element type picks the exchange idiom: int, uint64 and float64
+// take the min/max kernels, every other type the compare-and-swap
+// kernels. Float64 input must be NaN-free (callers prescan); ±0 bit
+// patterns are preserved as a multiset.
+func BatchFlat[T cmp.Ordered](data []T, width int) bool {
 	m, trivial, ok := batchFlatDims(len(data), width, BatchMaxWidth)
 	if !ok {
 		return false
@@ -433,143 +155,193 @@ func BatchFlatFloat64(data []float64, width int) bool {
 	if trivial {
 		return true
 	}
+	switch v := any(data).(type) {
+	case []int:
+		return flatMinMax(v, m, width, simdInt)
+	case []uint64:
+		return flatMinMax(v, m, width, simdUint64)
+	case []float64:
+		return flatMinMax(v, m, width, simdFloat64)
+	}
+	return flatSwap(data, m, width)
+}
+
+// colsMinMax runs the width-n column-major MinMax kernel:
+// the AVX-512 one of element type simd when enabled, the pure-Go one
+// otherwise.
+func colsMinMax[T cmp.Ordered](data []T, m, n, simd int) bool {
 	if batchSIMDOn {
-		if k := simdColsFloat64Kernels[width]; k != nil && batchTransTo[width] != nil {
-			sp := batchScratchFloat64.Get().(*[]float64)
-			s := *sp
-			if cap(s) < len(data) {
-				s = make([]float64, len(data))
-			}
-			s = s[:len(data)]
-			batchTransTo[width](unsafe.Pointer(&s[0]), unsafe.Pointer(&data[0]), m)
-			k(s, m)
-			batchTransFrom[width](unsafe.Pointer(&data[0]), unsafe.Pointer(&s[0]), m)
-			*sp = s
-			batchScratchFloat64.Put(sp)
+		if k := simdCols[simd][n]; k != nil {
+			k(unsafe.Pointer(&data[0]), m)
 			return true
 		}
-	}
-	if k := batchFlatFloat64Kernels[width]; k != nil {
-		k(data, m)
-		return true
-	}
-	return false
-}
-
-// BatchFloat64Kernel returns the width-n column-major batch kernel that a
-// BatchFloat64 call would run right now (AVX-512 when enabled), or nil when
-// none exists. Hot loops can hoist the lookup.
-func BatchFloat64Kernel(n int) func(data []float64, m int) {
-	if n < BatchMinWidth || n > BatchMaxWidth {
-		return nil
-	}
-	if batchSIMDOn {
-		if k := simdColsFloat64Kernels[n]; k != nil {
-			return k
-		}
-	}
-	return batchColsFloat64Kernels[n]
-}
-
-// BatchFlatFloat64Kernel returns the portable width-n row-major batch
-// kernel, or nil when none exists. (The SIMD row-major path needs
-// transpose scratch and lives only behind BatchFlatFloat64.)
-func BatchFlatFloat64Kernel(n int) func(data []float64, m int) {
-	if n < BatchMinWidth || n > BatchMaxWidth {
-		return nil
-	}
-	return batchFlatFloat64Kernels[n]
-}
-
-// BatchOrdered sorts, in place, every row of the column-major batch
-// of any ordered element type (pure Go; the SIMD kernels cover the
-// concrete 64-bit families). Same contract as BatchInt.
-func BatchOrdered[T cmp.Ordered](data []T, m int) bool {
-	n, trivial, ok := batchDims(len(data), m, BatchMaxWidth)
-	if !ok {
-		return false
-	}
-	if trivial {
-		return true
 	}
 	switch n {
 	case 2:
-		batchCols2Ordered(data, m)
+		batchCols2MinMax(data, m)
 	case 3:
-		batchCols3Ordered(data, m)
+		batchCols3MinMax(data, m)
 	case 4:
-		batchCols4Ordered(data, m)
+		batchCols4MinMax(data, m)
 	case 5:
-		batchCols5Ordered(data, m)
+		batchCols5MinMax(data, m)
 	case 6:
-		batchCols6Ordered(data, m)
+		batchCols6MinMax(data, m)
 	case 7:
-		batchCols7Ordered(data, m)
+		batchCols7MinMax(data, m)
 	case 8:
-		batchCols8Ordered(data, m)
+		batchCols8MinMax(data, m)
 	case 9:
-		batchCols9Ordered(data, m)
+		batchCols9MinMax(data, m)
 	case 10:
-		batchCols10Ordered(data, m)
+		batchCols10MinMax(data, m)
 	case 11:
-		batchCols11Ordered(data, m)
+		batchCols11MinMax(data, m)
 	case 12:
-		batchCols12Ordered(data, m)
+		batchCols12MinMax(data, m)
 	case 13:
-		batchCols13Ordered(data, m)
+		batchCols13MinMax(data, m)
 	case 14:
-		batchCols14Ordered(data, m)
+		batchCols14MinMax(data, m)
 	case 15:
-		batchCols15Ordered(data, m)
+		batchCols15MinMax(data, m)
 	case 16:
-		batchCols16Ordered(data, m)
+		batchCols16MinMax(data, m)
 	default:
 		return false
 	}
 	return true
 }
 
-// BatchFlatOrdered sorts, in place, every row of the row-major batch
-// of any ordered element type. Same contract as BatchFlatInt.
-func BatchFlatOrdered[T cmp.Ordered](data []T, width int) bool {
-	m, trivial, ok := batchFlatDims(len(data), width, BatchMaxWidth)
-	if !ok {
+// flatMinMax runs the width-n row-major MinMax kernel:
+// the AVX-512 one of element type simd when enabled, the pure-Go one
+// otherwise.
+func flatMinMax[T cmp.Ordered](data []T, m, n, simd int) bool {
+	if batchSIMDOn {
+		if k := simdCols[simd][n]; k != nil {
+			sp := batchScratch.Get().(*[]uint64)
+			s := *sp
+			if cap(s) < len(data) {
+				s = make([]uint64, len(data))
+			}
+			s = s[:len(data)]
+			batchTransTo[n](unsafe.Pointer(&s[0]), unsafe.Pointer(&data[0]), m)
+			k(unsafe.Pointer(&s[0]), m)
+			batchTransFrom[n](unsafe.Pointer(&data[0]), unsafe.Pointer(&s[0]), m)
+			*sp = s
+			batchScratch.Put(sp)
+			return true
+		}
+	}
+	switch n {
+	case 2:
+		batchFlat2MinMax(data, m)
+	case 3:
+		batchFlat3MinMax(data, m)
+	case 4:
+		batchFlat4MinMax(data, m)
+	case 5:
+		batchFlat5MinMax(data, m)
+	case 6:
+		batchFlat6MinMax(data, m)
+	case 7:
+		batchFlat7MinMax(data, m)
+	case 8:
+		batchFlat8MinMax(data, m)
+	case 9:
+		batchFlat9MinMax(data, m)
+	case 10:
+		batchFlat10MinMax(data, m)
+	case 11:
+		batchFlat11MinMax(data, m)
+	case 12:
+		batchFlat12MinMax(data, m)
+	case 13:
+		batchFlat13MinMax(data, m)
+	case 14:
+		batchFlat14MinMax(data, m)
+	case 15:
+		batchFlat15MinMax(data, m)
+	case 16:
+		batchFlat16MinMax(data, m)
+	default:
 		return false
 	}
-	if trivial {
-		return true
-	}
-	switch width {
+	return true
+}
+
+// colsSwap runs the width-n column-major Swap kernel.
+func colsSwap[T cmp.Ordered](data []T, m, n int) bool {
+	switch n {
 	case 2:
-		batchFlat2Ordered(data, m)
+		batchCols2Swap(data, m)
 	case 3:
-		batchFlat3Ordered(data, m)
+		batchCols3Swap(data, m)
 	case 4:
-		batchFlat4Ordered(data, m)
+		batchCols4Swap(data, m)
 	case 5:
-		batchFlat5Ordered(data, m)
+		batchCols5Swap(data, m)
 	case 6:
-		batchFlat6Ordered(data, m)
+		batchCols6Swap(data, m)
 	case 7:
-		batchFlat7Ordered(data, m)
+		batchCols7Swap(data, m)
 	case 8:
-		batchFlat8Ordered(data, m)
+		batchCols8Swap(data, m)
 	case 9:
-		batchFlat9Ordered(data, m)
+		batchCols9Swap(data, m)
 	case 10:
-		batchFlat10Ordered(data, m)
+		batchCols10Swap(data, m)
 	case 11:
-		batchFlat11Ordered(data, m)
+		batchCols11Swap(data, m)
 	case 12:
-		batchFlat12Ordered(data, m)
+		batchCols12Swap(data, m)
 	case 13:
-		batchFlat13Ordered(data, m)
+		batchCols13Swap(data, m)
 	case 14:
-		batchFlat14Ordered(data, m)
+		batchCols14Swap(data, m)
 	case 15:
-		batchFlat15Ordered(data, m)
+		batchCols15Swap(data, m)
 	case 16:
-		batchFlat16Ordered(data, m)
+		batchCols16Swap(data, m)
+	default:
+		return false
+	}
+	return true
+}
+
+// flatSwap runs the width-n row-major Swap kernel.
+func flatSwap[T cmp.Ordered](data []T, m, n int) bool {
+	switch n {
+	case 2:
+		batchFlat2Swap(data, m)
+	case 3:
+		batchFlat3Swap(data, m)
+	case 4:
+		batchFlat4Swap(data, m)
+	case 5:
+		batchFlat5Swap(data, m)
+	case 6:
+		batchFlat6Swap(data, m)
+	case 7:
+		batchFlat7Swap(data, m)
+	case 8:
+		batchFlat8Swap(data, m)
+	case 9:
+		batchFlat9Swap(data, m)
+	case 10:
+		batchFlat10Swap(data, m)
+	case 11:
+		batchFlat11Swap(data, m)
+	case 12:
+		batchFlat12Swap(data, m)
+	case 13:
+		batchFlat13Swap(data, m)
+	case 14:
+		batchFlat14Swap(data, m)
+	case 15:
+		batchFlat15Swap(data, m)
+	case 16:
+		batchFlat16Swap(data, m)
 	default:
 		return false
 	}

@@ -1,145 +1,147 @@
 // Code generated by "go run ./cmd/netgen -preset sortkernels"; DO NOT EDIT.
 
 // AVX-512 hooks of the batch kernels: feature detection and the
-// typed shims that init plugs into the dispatch tables of batch.go.
+// assembly kernels that init plugs into the tables of batch.go. The
+// kernels take their column base as an untyped pointer, so one table
+// serves every 64-bit element type.
 package sortkernels
 
 import "unsafe"
 
 //go:noescape
-func simdCols2Int(base *int, m int)
+func simdCols2Int(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols3Int(base *int, m int)
+func simdCols3Int(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols4Int(base *int, m int)
+func simdCols4Int(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols5Int(base *int, m int)
+func simdCols5Int(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols6Int(base *int, m int)
+func simdCols6Int(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols7Int(base *int, m int)
+func simdCols7Int(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols8Int(base *int, m int)
+func simdCols8Int(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols9Int(base *int, m int)
+func simdCols9Int(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols10Int(base *int, m int)
+func simdCols10Int(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols11Int(base *int, m int)
+func simdCols11Int(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols12Int(base *int, m int)
+func simdCols12Int(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols13Int(base *int, m int)
+func simdCols13Int(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols14Int(base *int, m int)
+func simdCols14Int(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols15Int(base *int, m int)
+func simdCols15Int(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols16Int(base *int, m int)
+func simdCols16Int(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols2Uint64(base *uint64, m int)
+func simdCols2Uint64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols3Uint64(base *uint64, m int)
+func simdCols3Uint64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols4Uint64(base *uint64, m int)
+func simdCols4Uint64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols5Uint64(base *uint64, m int)
+func simdCols5Uint64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols6Uint64(base *uint64, m int)
+func simdCols6Uint64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols7Uint64(base *uint64, m int)
+func simdCols7Uint64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols8Uint64(base *uint64, m int)
+func simdCols8Uint64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols9Uint64(base *uint64, m int)
+func simdCols9Uint64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols10Uint64(base *uint64, m int)
+func simdCols10Uint64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols11Uint64(base *uint64, m int)
+func simdCols11Uint64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols12Uint64(base *uint64, m int)
+func simdCols12Uint64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols13Uint64(base *uint64, m int)
+func simdCols13Uint64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols14Uint64(base *uint64, m int)
+func simdCols14Uint64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols15Uint64(base *uint64, m int)
+func simdCols15Uint64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols16Uint64(base *uint64, m int)
+func simdCols16Uint64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols2Float64(base *float64, m int)
+func simdCols2Float64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols3Float64(base *float64, m int)
+func simdCols3Float64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols4Float64(base *float64, m int)
+func simdCols4Float64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols5Float64(base *float64, m int)
+func simdCols5Float64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols6Float64(base *float64, m int)
+func simdCols6Float64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols7Float64(base *float64, m int)
+func simdCols7Float64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols8Float64(base *float64, m int)
+func simdCols8Float64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols9Float64(base *float64, m int)
+func simdCols9Float64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols10Float64(base *float64, m int)
+func simdCols10Float64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols11Float64(base *float64, m int)
+func simdCols11Float64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols12Float64(base *float64, m int)
+func simdCols12Float64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols13Float64(base *float64, m int)
+func simdCols13Float64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols14Float64(base *float64, m int)
+func simdCols14Float64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols15Float64(base *float64, m int)
+func simdCols15Float64(base unsafe.Pointer, m int)
 
 //go:noescape
-func simdCols16Float64(base *float64, m int)
+func simdCols16Float64(base unsafe.Pointer, m int)
 
 //go:noescape
 func simdTransTo2(dst, src unsafe.Pointer, m int)
@@ -235,96 +237,6 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
 
-func simdBatchCols2Int(data []int, m int) { simdCols2Int(&data[0], m) }
-
-func simdBatchCols3Int(data []int, m int) { simdCols3Int(&data[0], m) }
-
-func simdBatchCols4Int(data []int, m int) { simdCols4Int(&data[0], m) }
-
-func simdBatchCols5Int(data []int, m int) { simdCols5Int(&data[0], m) }
-
-func simdBatchCols6Int(data []int, m int) { simdCols6Int(&data[0], m) }
-
-func simdBatchCols7Int(data []int, m int) { simdCols7Int(&data[0], m) }
-
-func simdBatchCols8Int(data []int, m int) { simdCols8Int(&data[0], m) }
-
-func simdBatchCols9Int(data []int, m int) { simdCols9Int(&data[0], m) }
-
-func simdBatchCols10Int(data []int, m int) { simdCols10Int(&data[0], m) }
-
-func simdBatchCols11Int(data []int, m int) { simdCols11Int(&data[0], m) }
-
-func simdBatchCols12Int(data []int, m int) { simdCols12Int(&data[0], m) }
-
-func simdBatchCols13Int(data []int, m int) { simdCols13Int(&data[0], m) }
-
-func simdBatchCols14Int(data []int, m int) { simdCols14Int(&data[0], m) }
-
-func simdBatchCols15Int(data []int, m int) { simdCols15Int(&data[0], m) }
-
-func simdBatchCols16Int(data []int, m int) { simdCols16Int(&data[0], m) }
-
-func simdBatchCols2Uint64(data []uint64, m int) { simdCols2Uint64(&data[0], m) }
-
-func simdBatchCols3Uint64(data []uint64, m int) { simdCols3Uint64(&data[0], m) }
-
-func simdBatchCols4Uint64(data []uint64, m int) { simdCols4Uint64(&data[0], m) }
-
-func simdBatchCols5Uint64(data []uint64, m int) { simdCols5Uint64(&data[0], m) }
-
-func simdBatchCols6Uint64(data []uint64, m int) { simdCols6Uint64(&data[0], m) }
-
-func simdBatchCols7Uint64(data []uint64, m int) { simdCols7Uint64(&data[0], m) }
-
-func simdBatchCols8Uint64(data []uint64, m int) { simdCols8Uint64(&data[0], m) }
-
-func simdBatchCols9Uint64(data []uint64, m int) { simdCols9Uint64(&data[0], m) }
-
-func simdBatchCols10Uint64(data []uint64, m int) { simdCols10Uint64(&data[0], m) }
-
-func simdBatchCols11Uint64(data []uint64, m int) { simdCols11Uint64(&data[0], m) }
-
-func simdBatchCols12Uint64(data []uint64, m int) { simdCols12Uint64(&data[0], m) }
-
-func simdBatchCols13Uint64(data []uint64, m int) { simdCols13Uint64(&data[0], m) }
-
-func simdBatchCols14Uint64(data []uint64, m int) { simdCols14Uint64(&data[0], m) }
-
-func simdBatchCols15Uint64(data []uint64, m int) { simdCols15Uint64(&data[0], m) }
-
-func simdBatchCols16Uint64(data []uint64, m int) { simdCols16Uint64(&data[0], m) }
-
-func simdBatchCols2Float64(data []float64, m int) { simdCols2Float64(&data[0], m) }
-
-func simdBatchCols3Float64(data []float64, m int) { simdCols3Float64(&data[0], m) }
-
-func simdBatchCols4Float64(data []float64, m int) { simdCols4Float64(&data[0], m) }
-
-func simdBatchCols5Float64(data []float64, m int) { simdCols5Float64(&data[0], m) }
-
-func simdBatchCols6Float64(data []float64, m int) { simdCols6Float64(&data[0], m) }
-
-func simdBatchCols7Float64(data []float64, m int) { simdCols7Float64(&data[0], m) }
-
-func simdBatchCols8Float64(data []float64, m int) { simdCols8Float64(&data[0], m) }
-
-func simdBatchCols9Float64(data []float64, m int) { simdCols9Float64(&data[0], m) }
-
-func simdBatchCols10Float64(data []float64, m int) { simdCols10Float64(&data[0], m) }
-
-func simdBatchCols11Float64(data []float64, m int) { simdCols11Float64(&data[0], m) }
-
-func simdBatchCols12Float64(data []float64, m int) { simdCols12Float64(&data[0], m) }
-
-func simdBatchCols13Float64(data []float64, m int) { simdCols13Float64(&data[0], m) }
-
-func simdBatchCols14Float64(data []float64, m int) { simdCols14Float64(&data[0], m) }
-
-func simdBatchCols15Float64(data []float64, m int) { simdCols15Float64(&data[0], m) }
-
-func simdBatchCols16Float64(data []float64, m int) { simdCols16Float64(&data[0], m) }
-
 // batchDetectAVX512 reports whether the CPU and OS support the
 // AVX-512 batch kernels: AVX512F plus OS-managed xmm/ymm/opmask/zmm
 // state (XCR0 bits 1, 2, 5, 6, 7 via XGETBV, gated on OSXSAVE).
@@ -354,51 +266,51 @@ func init() {
 	}
 	batchSIMDAvail = true
 	batchSIMDOn = true
-	simdColsIntKernels[2] = simdBatchCols2Int
-	simdColsIntKernels[3] = simdBatchCols3Int
-	simdColsIntKernels[4] = simdBatchCols4Int
-	simdColsIntKernels[5] = simdBatchCols5Int
-	simdColsIntKernels[6] = simdBatchCols6Int
-	simdColsIntKernels[7] = simdBatchCols7Int
-	simdColsIntKernels[8] = simdBatchCols8Int
-	simdColsIntKernels[9] = simdBatchCols9Int
-	simdColsIntKernels[10] = simdBatchCols10Int
-	simdColsIntKernels[11] = simdBatchCols11Int
-	simdColsIntKernels[12] = simdBatchCols12Int
-	simdColsIntKernels[13] = simdBatchCols13Int
-	simdColsIntKernels[14] = simdBatchCols14Int
-	simdColsIntKernels[15] = simdBatchCols15Int
-	simdColsIntKernels[16] = simdBatchCols16Int
-	simdColsUint64Kernels[2] = simdBatchCols2Uint64
-	simdColsUint64Kernels[3] = simdBatchCols3Uint64
-	simdColsUint64Kernels[4] = simdBatchCols4Uint64
-	simdColsUint64Kernels[5] = simdBatchCols5Uint64
-	simdColsUint64Kernels[6] = simdBatchCols6Uint64
-	simdColsUint64Kernels[7] = simdBatchCols7Uint64
-	simdColsUint64Kernels[8] = simdBatchCols8Uint64
-	simdColsUint64Kernels[9] = simdBatchCols9Uint64
-	simdColsUint64Kernels[10] = simdBatchCols10Uint64
-	simdColsUint64Kernels[11] = simdBatchCols11Uint64
-	simdColsUint64Kernels[12] = simdBatchCols12Uint64
-	simdColsUint64Kernels[13] = simdBatchCols13Uint64
-	simdColsUint64Kernels[14] = simdBatchCols14Uint64
-	simdColsUint64Kernels[15] = simdBatchCols15Uint64
-	simdColsUint64Kernels[16] = simdBatchCols16Uint64
-	simdColsFloat64Kernels[2] = simdBatchCols2Float64
-	simdColsFloat64Kernels[3] = simdBatchCols3Float64
-	simdColsFloat64Kernels[4] = simdBatchCols4Float64
-	simdColsFloat64Kernels[5] = simdBatchCols5Float64
-	simdColsFloat64Kernels[6] = simdBatchCols6Float64
-	simdColsFloat64Kernels[7] = simdBatchCols7Float64
-	simdColsFloat64Kernels[8] = simdBatchCols8Float64
-	simdColsFloat64Kernels[9] = simdBatchCols9Float64
-	simdColsFloat64Kernels[10] = simdBatchCols10Float64
-	simdColsFloat64Kernels[11] = simdBatchCols11Float64
-	simdColsFloat64Kernels[12] = simdBatchCols12Float64
-	simdColsFloat64Kernels[13] = simdBatchCols13Float64
-	simdColsFloat64Kernels[14] = simdBatchCols14Float64
-	simdColsFloat64Kernels[15] = simdBatchCols15Float64
-	simdColsFloat64Kernels[16] = simdBatchCols16Float64
+	simdCols[simdInt][2] = simdCols2Int
+	simdCols[simdInt][3] = simdCols3Int
+	simdCols[simdInt][4] = simdCols4Int
+	simdCols[simdInt][5] = simdCols5Int
+	simdCols[simdInt][6] = simdCols6Int
+	simdCols[simdInt][7] = simdCols7Int
+	simdCols[simdInt][8] = simdCols8Int
+	simdCols[simdInt][9] = simdCols9Int
+	simdCols[simdInt][10] = simdCols10Int
+	simdCols[simdInt][11] = simdCols11Int
+	simdCols[simdInt][12] = simdCols12Int
+	simdCols[simdInt][13] = simdCols13Int
+	simdCols[simdInt][14] = simdCols14Int
+	simdCols[simdInt][15] = simdCols15Int
+	simdCols[simdInt][16] = simdCols16Int
+	simdCols[simdUint64][2] = simdCols2Uint64
+	simdCols[simdUint64][3] = simdCols3Uint64
+	simdCols[simdUint64][4] = simdCols4Uint64
+	simdCols[simdUint64][5] = simdCols5Uint64
+	simdCols[simdUint64][6] = simdCols6Uint64
+	simdCols[simdUint64][7] = simdCols7Uint64
+	simdCols[simdUint64][8] = simdCols8Uint64
+	simdCols[simdUint64][9] = simdCols9Uint64
+	simdCols[simdUint64][10] = simdCols10Uint64
+	simdCols[simdUint64][11] = simdCols11Uint64
+	simdCols[simdUint64][12] = simdCols12Uint64
+	simdCols[simdUint64][13] = simdCols13Uint64
+	simdCols[simdUint64][14] = simdCols14Uint64
+	simdCols[simdUint64][15] = simdCols15Uint64
+	simdCols[simdUint64][16] = simdCols16Uint64
+	simdCols[simdFloat64][2] = simdCols2Float64
+	simdCols[simdFloat64][3] = simdCols3Float64
+	simdCols[simdFloat64][4] = simdCols4Float64
+	simdCols[simdFloat64][5] = simdCols5Float64
+	simdCols[simdFloat64][6] = simdCols6Float64
+	simdCols[simdFloat64][7] = simdCols7Float64
+	simdCols[simdFloat64][8] = simdCols8Float64
+	simdCols[simdFloat64][9] = simdCols9Float64
+	simdCols[simdFloat64][10] = simdCols10Float64
+	simdCols[simdFloat64][11] = simdCols11Float64
+	simdCols[simdFloat64][12] = simdCols12Float64
+	simdCols[simdFloat64][13] = simdCols13Float64
+	simdCols[simdFloat64][14] = simdCols14Float64
+	simdCols[simdFloat64][15] = simdCols15Float64
+	simdCols[simdFloat64][16] = simdCols16Float64
 	batchTransTo[2] = simdTransTo2
 	batchTransFrom[2] = simdTransFrom2
 	batchTransTo[3] = simdTransTo3

@@ -2,12 +2,14 @@
 
 package sortkernels
 
-// batchCols2Float64 sorts each of the m rows of a 2-column
+import "cmp"
+
+// batchCols2MinMax sorts each of the m rows of a 2-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 2 values {data[w*m+r]}. Depth 1, size 1, depth-optimal (proven minimum 1).
-// Input must be NaN-free (callers prescan); ±0 bit patterns are
-// preserved as a multiset.
-func batchCols2Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchCols2MinMax[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	for r := range c0 {
@@ -20,10 +22,11 @@ func batchCols2Float64(data []float64, m int) {
 	}
 }
 
-// batchFlat2Float64 sorts each of the m contiguous width-2 rows of a
+// batchFlat2MinMax sorts each of the m contiguous width-2 rows of a
 // row-major batch in place: row r is data[r*2:(r+1)*2].
-// Input must be NaN-free (callers prescan).
-func batchFlat2Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchFlat2MinMax[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*2 : r*2+2 : r*2+2]
 		v0, v1 := s[0], s[1]
@@ -35,12 +38,12 @@ func batchFlat2Float64(data []float64, m int) {
 	}
 }
 
-// batchCols3Float64 sorts each of the m rows of a 3-column
+// batchCols3MinMax sorts each of the m rows of a 3-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 3 values {data[w*m+r]}. Depth 3, size 3, depth-optimal (proven minimum 3).
-// Input must be NaN-free (callers prescan); ±0 bit patterns are
-// preserved as a multiset.
-func batchCols3Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchCols3MinMax[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -60,10 +63,11 @@ func batchCols3Float64(data []float64, m int) {
 	}
 }
 
-// batchFlat3Float64 sorts each of the m contiguous width-3 rows of a
+// batchFlat3MinMax sorts each of the m contiguous width-3 rows of a
 // row-major batch in place: row r is data[r*3:(r+1)*3].
-// Input must be NaN-free (callers prescan).
-func batchFlat3Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchFlat3MinMax[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*3 : r*3+3 : r*3+3]
 		v0, v1, v2 := s[0], s[1], s[2]
@@ -81,12 +85,12 @@ func batchFlat3Float64(data []float64, m int) {
 	}
 }
 
-// batchCols4Float64 sorts each of the m rows of a 4-column
+// batchCols4MinMax sorts each of the m rows of a 4-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 4 values {data[w*m+r]}. Depth 3, size 5, depth-optimal (proven minimum 3).
-// Input must be NaN-free (callers prescan); ±0 bit patterns are
-// preserved as a multiset.
-func batchCols4Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchCols4MinMax[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -109,10 +113,11 @@ func batchCols4Float64(data []float64, m int) {
 	}
 }
 
-// batchFlat4Float64 sorts each of the m contiguous width-4 rows of a
+// batchFlat4MinMax sorts each of the m contiguous width-4 rows of a
 // row-major batch in place: row r is data[r*4:(r+1)*4].
-// Input must be NaN-free (callers prescan).
-func batchFlat4Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchFlat4MinMax[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*4 : r*4+4 : r*4+4]
 		v0, v1, v2, v3 := s[0], s[1], s[2], s[3]
@@ -132,12 +137,12 @@ func batchFlat4Float64(data []float64, m int) {
 	}
 }
 
-// batchCols5Float64 sorts each of the m rows of a 5-column
+// batchCols5MinMax sorts each of the m rows of a 5-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 5 values {data[w*m+r]}. Depth 5, size 9, depth-optimal (proven minimum 5).
-// Input must be NaN-free (callers prescan); ±0 bit patterns are
-// preserved as a multiset.
-func batchCols5Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchCols5MinMax[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -169,10 +174,11 @@ func batchCols5Float64(data []float64, m int) {
 	}
 }
 
-// batchFlat5Float64 sorts each of the m contiguous width-5 rows of a
+// batchFlat5MinMax sorts each of the m contiguous width-5 rows of a
 // row-major batch in place: row r is data[r*5:(r+1)*5].
-// Input must be NaN-free (callers prescan).
-func batchFlat5Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchFlat5MinMax[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*5 : r*5+5 : r*5+5]
 		v0, v1, v2, v3, v4 := s[0], s[1], s[2], s[3], s[4]
@@ -200,12 +206,12 @@ func batchFlat5Float64(data []float64, m int) {
 	}
 }
 
-// batchCols6Float64 sorts each of the m rows of a 6-column
+// batchCols6MinMax sorts each of the m rows of a 6-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 6 values {data[w*m+r]}. Depth 5, size 12, depth-optimal (proven minimum 5).
-// Input must be NaN-free (callers prescan); ±0 bit patterns are
-// preserved as a multiset.
-func batchCols6Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchCols6MinMax[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -241,10 +247,11 @@ func batchCols6Float64(data []float64, m int) {
 	}
 }
 
-// batchFlat6Float64 sorts each of the m contiguous width-6 rows of a
+// batchFlat6MinMax sorts each of the m contiguous width-6 rows of a
 // row-major batch in place: row r is data[r*6:(r+1)*6].
-// Input must be NaN-free (callers prescan).
-func batchFlat6Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchFlat6MinMax[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*6 : r*6+6 : r*6+6]
 		v0, v1, v2, v3, v4, v5 := s[0], s[1], s[2], s[3], s[4], s[5]
@@ -275,12 +282,12 @@ func batchFlat6Float64(data []float64, m int) {
 	}
 }
 
-// batchCols7Float64 sorts each of the m rows of a 7-column
+// batchCols7MinMax sorts each of the m rows of a 7-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 7 values {data[w*m+r]}. Depth 6, size 16, depth-optimal (proven minimum 6).
-// Input must be NaN-free (callers prescan); ±0 bit patterns are
-// preserved as a multiset.
-func batchCols7Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchCols7MinMax[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -323,10 +330,11 @@ func batchCols7Float64(data []float64, m int) {
 	}
 }
 
-// batchFlat7Float64 sorts each of the m contiguous width-7 rows of a
+// batchFlat7MinMax sorts each of the m contiguous width-7 rows of a
 // row-major batch in place: row r is data[r*7:(r+1)*7].
-// Input must be NaN-free (callers prescan).
-func batchFlat7Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchFlat7MinMax[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*7 : r*7+7 : r*7+7]
 		v0, v1, v2, v3, v4, v5, v6 := s[0], s[1], s[2], s[3], s[4], s[5], s[6]
@@ -363,12 +371,12 @@ func batchFlat7Float64(data []float64, m int) {
 	}
 }
 
-// batchCols8Float64 sorts each of the m rows of a 8-column
+// batchCols8MinMax sorts each of the m rows of a 8-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 8 values {data[w*m+r]}. Depth 6, size 19, depth-optimal (proven minimum 6).
-// Input must be NaN-free (callers prescan); ±0 bit patterns are
-// preserved as a multiset.
-func batchCols8Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchCols8MinMax[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -415,10 +423,11 @@ func batchCols8Float64(data []float64, m int) {
 	}
 }
 
-// batchFlat8Float64 sorts each of the m contiguous width-8 rows of a
+// batchFlat8MinMax sorts each of the m contiguous width-8 rows of a
 // row-major batch in place: row r is data[r*8:(r+1)*8].
-// Input must be NaN-free (callers prescan).
-func batchFlat8Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchFlat8MinMax[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*8 : r*8+8 : r*8+8]
 		v0, v1, v2, v3, v4, v5, v6, v7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
@@ -458,12 +467,12 @@ func batchFlat8Float64(data []float64, m int) {
 	}
 }
 
-// batchCols9Float64 sorts each of the m rows of a 9-column
+// batchCols9MinMax sorts each of the m rows of a 9-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 9 values {data[w*m+r]}. Depth 7, size 25, depth-optimal (proven minimum 7).
-// Input must be NaN-free (callers prescan); ±0 bit patterns are
-// preserved as a multiset.
-func batchCols9Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchCols9MinMax[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -519,10 +528,11 @@ func batchCols9Float64(data []float64, m int) {
 	}
 }
 
-// batchFlat9Float64 sorts each of the m contiguous width-9 rows of a
+// batchFlat9MinMax sorts each of the m contiguous width-9 rows of a
 // row-major batch in place: row r is data[r*9:(r+1)*9].
-// Input must be NaN-free (callers prescan).
-func batchFlat9Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchFlat9MinMax[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*9 : r*9+9 : r*9+9]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8]
@@ -570,12 +580,12 @@ func batchFlat9Float64(data []float64, m int) {
 	}
 }
 
-// batchCols10Float64 sorts each of the m rows of a 10-column
+// batchCols10MinMax sorts each of the m rows of a 10-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 10 values {data[w*m+r]}. Depth 7, size 31, depth-optimal (proven minimum 7).
-// Input must be NaN-free (callers prescan); ±0 bit patterns are
-// preserved as a multiset.
-func batchCols10Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchCols10MinMax[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -638,10 +648,11 @@ func batchCols10Float64(data []float64, m int) {
 	}
 }
 
-// batchFlat10Float64 sorts each of the m contiguous width-10 rows of a
+// batchFlat10MinMax sorts each of the m contiguous width-10 rows of a
 // row-major batch in place: row r is data[r*10:(r+1)*10].
-// Input must be NaN-free (callers prescan).
-func batchFlat10Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchFlat10MinMax[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*10 : r*10+10 : r*10+10]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9]
@@ -695,12 +706,12 @@ func batchFlat10Float64(data []float64, m int) {
 	}
 }
 
-// batchCols11Float64 sorts each of the m rows of a 11-column
+// batchCols11MinMax sorts each of the m rows of a 11-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 11 values {data[w*m+r]}. Depth 8, size 35, depth-optimal (proven minimum 8).
-// Input must be NaN-free (callers prescan); ±0 bit patterns are
-// preserved as a multiset.
-func batchCols11Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchCols11MinMax[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -770,10 +781,11 @@ func batchCols11Float64(data []float64, m int) {
 	}
 }
 
-// batchFlat11Float64 sorts each of the m contiguous width-11 rows of a
+// batchFlat11MinMax sorts each of the m contiguous width-11 rows of a
 // row-major batch in place: row r is data[r*11:(r+1)*11].
-// Input must be NaN-free (callers prescan).
-func batchFlat11Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchFlat11MinMax[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*11 : r*11+11 : r*11+11]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10]
@@ -833,12 +845,12 @@ func batchFlat11Float64(data []float64, m int) {
 	}
 }
 
-// batchCols12Float64 sorts each of the m rows of a 12-column
+// batchCols12MinMax sorts each of the m rows of a 12-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 12 values {data[w*m+r]}. Depth 8, size 43, depth-optimal (proven minimum 8).
-// Input must be NaN-free (callers prescan); ±0 bit patterns are
-// preserved as a multiset.
-func batchCols12Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchCols12MinMax[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -917,10 +929,11 @@ func batchCols12Float64(data []float64, m int) {
 	}
 }
 
-// batchFlat12Float64 sorts each of the m contiguous width-12 rows of a
+// batchFlat12MinMax sorts each of the m contiguous width-12 rows of a
 // row-major batch in place: row r is data[r*12:(r+1)*12].
-// Input must be NaN-free (callers prescan).
-func batchFlat12Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchFlat12MinMax[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*12 : r*12+12 : r*12+12]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11]
@@ -988,12 +1001,12 @@ func batchFlat12Float64(data []float64, m int) {
 	}
 }
 
-// batchCols13Float64 sorts each of the m rows of a 13-column
+// batchCols13MinMax sorts each of the m rows of a 13-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 13 values {data[w*m+r]}. Depth 9, size 48, depth-optimal (proven minimum 9).
-// Input must be NaN-free (callers prescan); ±0 bit patterns are
-// preserved as a multiset.
-func batchCols13Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchCols13MinMax[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -1080,10 +1093,11 @@ func batchCols13Float64(data []float64, m int) {
 	}
 }
 
-// batchFlat13Float64 sorts each of the m contiguous width-13 rows of a
+// batchFlat13MinMax sorts each of the m contiguous width-13 rows of a
 // row-major batch in place: row r is data[r*13:(r+1)*13].
-// Input must be NaN-free (callers prescan).
-func batchFlat13Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchFlat13MinMax[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*13 : r*13+13 : r*13+13]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12]
@@ -1158,12 +1172,12 @@ func batchFlat13Float64(data []float64, m int) {
 	}
 }
 
-// batchCols14Float64 sorts each of the m rows of a 14-column
+// batchCols14MinMax sorts each of the m rows of a 14-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 14 values {data[w*m+r]}. Depth 9, size 53, depth-optimal (proven minimum 9).
-// Input must be NaN-free (callers prescan); ±0 bit patterns are
-// preserved as a multiset.
-func batchCols14Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchCols14MinMax[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -1256,10 +1270,11 @@ func batchCols14Float64(data []float64, m int) {
 	}
 }
 
-// batchFlat14Float64 sorts each of the m contiguous width-14 rows of a
+// batchFlat14MinMax sorts each of the m contiguous width-14 rows of a
 // row-major batch in place: row r is data[r*14:(r+1)*14].
-// Input must be NaN-free (callers prescan).
-func batchFlat14Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchFlat14MinMax[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*14 : r*14+14 : r*14+14]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13]
@@ -1339,12 +1354,12 @@ func batchFlat14Float64(data []float64, m int) {
 	}
 }
 
-// batchCols15Float64 sorts each of the m rows of a 15-column
+// batchCols15MinMax sorts each of the m rows of a 15-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 15 values {data[w*m+r]}. Depth 9, size 59, depth-optimal (proven minimum 9).
-// Input must be NaN-free (callers prescan); ±0 bit patterns are
-// preserved as a multiset.
-func batchCols15Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchCols15MinMax[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -1444,10 +1459,11 @@ func batchCols15Float64(data []float64, m int) {
 	}
 }
 
-// batchFlat15Float64 sorts each of the m contiguous width-15 rows of a
+// batchFlat15MinMax sorts each of the m contiguous width-15 rows of a
 // row-major batch in place: row r is data[r*15:(r+1)*15].
-// Input must be NaN-free (callers prescan).
-func batchFlat15Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchFlat15MinMax[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*15 : r*15+15 : r*15+15]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14]
@@ -1533,12 +1549,12 @@ func batchFlat15Float64(data []float64, m int) {
 	}
 }
 
-// batchCols16Float64 sorts each of the m rows of a 16-column
+// batchCols16MinMax sorts each of the m rows of a 16-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 16 values {data[w*m+r]}. Depth 9, size 65, depth-optimal (proven minimum 9).
-// Input must be NaN-free (callers prescan); ±0 bit patterns are
-// preserved as a multiset.
-func batchCols16Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchCols16MinMax[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -1645,10 +1661,11 @@ func batchCols16Float64(data []float64, m int) {
 	}
 }
 
-// batchFlat16Float64 sorts each of the m contiguous width-16 rows of a
+// batchFlat16MinMax sorts each of the m contiguous width-16 rows of a
 // row-major batch in place: row r is data[r*16:(r+1)*16].
-// Input must be NaN-free (callers prescan).
-func batchFlat16Float64(data []float64, m int) {
+// Float input must be NaN-free (callers prescan); ±0 bit patterns
+// are preserved as a multiset.
+func batchFlat16MinMax[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*16 : r*16+16 : r*16+16]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14], s[15]

@@ -4,10 +4,10 @@ package sortkernels
 
 import "cmp"
 
-// batchCols2Ordered sorts each of the m rows of a 2-column
+// batchCols2Swap sorts each of the m rows of a 2-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 2 values {data[w*m+r]}. Depth 1, size 1, depth-optimal (proven minimum 1).
-func batchCols2Ordered[T cmp.Ordered](data []T, m int) {
+func batchCols2Swap[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	for r := range c0 {
@@ -22,9 +22,9 @@ func batchCols2Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchFlat2Ordered sorts each of the m contiguous width-2 rows of a
+// batchFlat2Swap sorts each of the m contiguous width-2 rows of a
 // row-major batch in place: row r is data[r*2:(r+1)*2].
-func batchFlat2Ordered[T cmp.Ordered](data []T, m int) {
+func batchFlat2Swap[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*2 : r*2+2 : r*2+2]
 		v0, v1 := s[0], s[1]
@@ -38,10 +38,10 @@ func batchFlat2Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchCols3Ordered sorts each of the m rows of a 3-column
+// batchCols3Swap sorts each of the m rows of a 3-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 3 values {data[w*m+r]}. Depth 3, size 3, depth-optimal (proven minimum 3).
-func batchCols3Ordered[T cmp.Ordered](data []T, m int) {
+func batchCols3Swap[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -67,9 +67,9 @@ func batchCols3Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchFlat3Ordered sorts each of the m contiguous width-3 rows of a
+// batchFlat3Swap sorts each of the m contiguous width-3 rows of a
 // row-major batch in place: row r is data[r*3:(r+1)*3].
-func batchFlat3Ordered[T cmp.Ordered](data []T, m int) {
+func batchFlat3Swap[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*3 : r*3+3 : r*3+3]
 		v0, v1, v2 := s[0], s[1], s[2]
@@ -93,10 +93,10 @@ func batchFlat3Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchCols4Ordered sorts each of the m rows of a 4-column
+// batchCols4Swap sorts each of the m rows of a 4-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 4 values {data[w*m+r]}. Depth 3, size 5, depth-optimal (proven minimum 3).
-func batchCols4Ordered[T cmp.Ordered](data []T, m int) {
+func batchCols4Swap[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -129,9 +129,9 @@ func batchCols4Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchFlat4Ordered sorts each of the m contiguous width-4 rows of a
+// batchFlat4Swap sorts each of the m contiguous width-4 rows of a
 // row-major batch in place: row r is data[r*4:(r+1)*4].
-func batchFlat4Ordered[T cmp.Ordered](data []T, m int) {
+func batchFlat4Swap[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*4 : r*4+4 : r*4+4]
 		v0, v1, v2, v3 := s[0], s[1], s[2], s[3]
@@ -161,10 +161,10 @@ func batchFlat4Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchCols5Ordered sorts each of the m rows of a 5-column
+// batchCols5Swap sorts each of the m rows of a 5-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 5 values {data[w*m+r]}. Depth 5, size 9, depth-optimal (proven minimum 5).
-func batchCols5Ordered[T cmp.Ordered](data []T, m int) {
+func batchCols5Swap[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -214,9 +214,9 @@ func batchCols5Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchFlat5Ordered sorts each of the m contiguous width-5 rows of a
+// batchFlat5Swap sorts each of the m contiguous width-5 rows of a
 // row-major batch in place: row r is data[r*5:(r+1)*5].
-func batchFlat5Ordered[T cmp.Ordered](data []T, m int) {
+func batchFlat5Swap[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*5 : r*5+5 : r*5+5]
 		v0, v1, v2, v3, v4 := s[0], s[1], s[2], s[3], s[4]
@@ -262,10 +262,10 @@ func batchFlat5Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchCols6Ordered sorts each of the m rows of a 6-column
+// batchCols6Swap sorts each of the m rows of a 6-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 6 values {data[w*m+r]}. Depth 5, size 12, depth-optimal (proven minimum 5).
-func batchCols6Ordered[T cmp.Ordered](data []T, m int) {
+func batchCols6Swap[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -325,9 +325,9 @@ func batchCols6Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchFlat6Ordered sorts each of the m contiguous width-6 rows of a
+// batchFlat6Swap sorts each of the m contiguous width-6 rows of a
 // row-major batch in place: row r is data[r*6:(r+1)*6].
-func batchFlat6Ordered[T cmp.Ordered](data []T, m int) {
+func batchFlat6Swap[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*6 : r*6+6 : r*6+6]
 		v0, v1, v2, v3, v4, v5 := s[0], s[1], s[2], s[3], s[4], s[5]
@@ -382,10 +382,10 @@ func batchFlat6Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchCols7Ordered sorts each of the m rows of a 7-column
+// batchCols7Swap sorts each of the m rows of a 7-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 7 values {data[w*m+r]}. Depth 6, size 16, depth-optimal (proven minimum 6).
-func batchCols7Ordered[T cmp.Ordered](data []T, m int) {
+func batchCols7Swap[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -460,9 +460,9 @@ func batchCols7Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchFlat7Ordered sorts each of the m contiguous width-7 rows of a
+// batchFlat7Swap sorts each of the m contiguous width-7 rows of a
 // row-major batch in place: row r is data[r*7:(r+1)*7].
-func batchFlat7Ordered[T cmp.Ordered](data []T, m int) {
+func batchFlat7Swap[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*7 : r*7+7 : r*7+7]
 		v0, v1, v2, v3, v4, v5, v6 := s[0], s[1], s[2], s[3], s[4], s[5], s[6]
@@ -531,10 +531,10 @@ func batchFlat7Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchCols8Ordered sorts each of the m rows of a 8-column
+// batchCols8Swap sorts each of the m rows of a 8-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 8 values {data[w*m+r]}. Depth 6, size 19, depth-optimal (proven minimum 6).
-func batchCols8Ordered[T cmp.Ordered](data []T, m int) {
+func batchCols8Swap[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -619,9 +619,9 @@ func batchCols8Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchFlat8Ordered sorts each of the m contiguous width-8 rows of a
+// batchFlat8Swap sorts each of the m contiguous width-8 rows of a
 // row-major batch in place: row r is data[r*8:(r+1)*8].
-func batchFlat8Ordered[T cmp.Ordered](data []T, m int) {
+func batchFlat8Swap[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*8 : r*8+8 : r*8+8]
 		v0, v1, v2, v3, v4, v5, v6, v7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
@@ -699,10 +699,10 @@ func batchFlat8Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchCols9Ordered sorts each of the m rows of a 9-column
+// batchCols9Swap sorts each of the m rows of a 9-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 9 values {data[w*m+r]}. Depth 7, size 25, depth-optimal (proven minimum 7).
-func batchCols9Ordered[T cmp.Ordered](data []T, m int) {
+func batchCols9Swap[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -808,9 +808,9 @@ func batchCols9Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchFlat9Ordered sorts each of the m contiguous width-9 rows of a
+// batchFlat9Swap sorts each of the m contiguous width-9 rows of a
 // row-major batch in place: row r is data[r*9:(r+1)*9].
-func batchFlat9Ordered[T cmp.Ordered](data []T, m int) {
+func batchFlat9Swap[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*9 : r*9+9 : r*9+9]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8]
@@ -908,10 +908,10 @@ func batchFlat9Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchCols10Ordered sorts each of the m rows of a 10-column
+// batchCols10Swap sorts each of the m rows of a 10-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 10 values {data[w*m+r]}. Depth 7, size 31, depth-optimal (proven minimum 7).
-func batchCols10Ordered[T cmp.Ordered](data []T, m int) {
+func batchCols10Swap[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -1036,9 +1036,9 @@ func batchCols10Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchFlat10Ordered sorts each of the m contiguous width-10 rows of a
+// batchFlat10Swap sorts each of the m contiguous width-10 rows of a
 // row-major batch in place: row r is data[r*10:(r+1)*10].
-func batchFlat10Ordered[T cmp.Ordered](data []T, m int) {
+func batchFlat10Swap[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*10 : r*10+10 : r*10+10]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9]
@@ -1154,10 +1154,10 @@ func batchFlat10Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchCols11Ordered sorts each of the m rows of a 11-column
+// batchCols11Swap sorts each of the m rows of a 11-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 11 values {data[w*m+r]}. Depth 8, size 35, depth-optimal (proven minimum 8).
-func batchCols11Ordered[T cmp.Ordered](data []T, m int) {
+func batchCols11Swap[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -1297,9 +1297,9 @@ func batchCols11Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchFlat11Ordered sorts each of the m contiguous width-11 rows of a
+// batchFlat11Swap sorts each of the m contiguous width-11 rows of a
 // row-major batch in place: row r is data[r*11:(r+1)*11].
-func batchFlat11Ordered[T cmp.Ordered](data []T, m int) {
+func batchFlat11Swap[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*11 : r*11+11 : r*11+11]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10]
@@ -1429,10 +1429,10 @@ func batchFlat11Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchCols12Ordered sorts each of the m rows of a 12-column
+// batchCols12Swap sorts each of the m rows of a 12-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 12 values {data[w*m+r]}. Depth 8, size 43, depth-optimal (proven minimum 8).
-func batchCols12Ordered[T cmp.Ordered](data []T, m int) {
+func batchCols12Swap[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -1597,9 +1597,9 @@ func batchCols12Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchFlat12Ordered sorts each of the m contiguous width-12 rows of a
+// batchFlat12Swap sorts each of the m contiguous width-12 rows of a
 // row-major batch in place: row r is data[r*12:(r+1)*12].
-func batchFlat12Ordered[T cmp.Ordered](data []T, m int) {
+func batchFlat12Swap[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*12 : r*12+12 : r*12+12]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11]
@@ -1753,10 +1753,10 @@ func batchFlat12Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchCols13Ordered sorts each of the m rows of a 13-column
+// batchCols13Swap sorts each of the m rows of a 13-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 13 values {data[w*m+r]}. Depth 9, size 48, depth-optimal (proven minimum 9).
-func batchCols13Ordered[T cmp.Ordered](data []T, m int) {
+func batchCols13Swap[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -1939,9 +1939,9 @@ func batchCols13Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchFlat13Ordered sorts each of the m contiguous width-13 rows of a
+// batchFlat13Swap sorts each of the m contiguous width-13 rows of a
 // row-major batch in place: row r is data[r*13:(r+1)*13].
-func batchFlat13Ordered[T cmp.Ordered](data []T, m int) {
+func batchFlat13Swap[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*13 : r*13+13 : r*13+13]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12]
@@ -2112,10 +2112,10 @@ func batchFlat13Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchCols14Ordered sorts each of the m rows of a 14-column
+// batchCols14Swap sorts each of the m rows of a 14-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 14 values {data[w*m+r]}. Depth 9, size 53, depth-optimal (proven minimum 9).
-func batchCols14Ordered[T cmp.Ordered](data []T, m int) {
+func batchCols14Swap[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -2314,9 +2314,9 @@ func batchCols14Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchFlat14Ordered sorts each of the m contiguous width-14 rows of a
+// batchFlat14Swap sorts each of the m contiguous width-14 rows of a
 // row-major batch in place: row r is data[r*14:(r+1)*14].
-func batchFlat14Ordered[T cmp.Ordered](data []T, m int) {
+func batchFlat14Swap[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*14 : r*14+14 : r*14+14]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13]
@@ -2502,10 +2502,10 @@ func batchFlat14Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchCols15Ordered sorts each of the m rows of a 15-column
+// batchCols15Swap sorts each of the m rows of a 15-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 15 values {data[w*m+r]}. Depth 9, size 59, depth-optimal (proven minimum 9).
-func batchCols15Ordered[T cmp.Ordered](data []T, m int) {
+func batchCols15Swap[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -2723,9 +2723,9 @@ func batchCols15Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchFlat15Ordered sorts each of the m contiguous width-15 rows of a
+// batchFlat15Swap sorts each of the m contiguous width-15 rows of a
 // row-major batch in place: row r is data[r*15:(r+1)*15].
-func batchFlat15Ordered[T cmp.Ordered](data []T, m int) {
+func batchFlat15Swap[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*15 : r*15+15 : r*15+15]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14]
@@ -2929,10 +2929,10 @@ func batchFlat15Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchCols16Ordered sorts each of the m rows of a 16-column
+// batchCols16Swap sorts each of the m rows of a 16-column
 // column-major batch: column w is data[w*m:(w+1)*m], row r is the
 // 16 values {data[w*m+r]}. Depth 9, size 65, depth-optimal (proven minimum 9).
-func batchCols16Ordered[T cmp.Ordered](data []T, m int) {
+func batchCols16Swap[T cmp.Ordered](data []T, m int) {
 	c0 := data[0*m : 1*m]
 	c1 := data[1*m : 2*m]
 	c2 := data[2*m : 3*m]
@@ -3169,9 +3169,9 @@ func batchCols16Ordered[T cmp.Ordered](data []T, m int) {
 	}
 }
 
-// batchFlat16Ordered sorts each of the m contiguous width-16 rows of a
+// batchFlat16Swap sorts each of the m contiguous width-16 rows of a
 // row-major batch in place: row r is data[r*16:(r+1)*16].
-func batchFlat16Ordered[T cmp.Ordered](data []T, m int) {
+func batchFlat16Swap[T cmp.Ordered](data []T, m int) {
 	for r := 0; r < m; r++ {
 		s := data[r*16 : r*16+16 : r*16+16]
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14], s[15]

@@ -2,10 +2,10 @@
 
 package sortkernels
 
-// Sort2Func sorts s[:2] in place with a sorting-network kernel:
+// sort2Func sorts s[:2] in place with a sorting-network kernel:
 // depth 1, size 1, depth-optimal (proven minimum 1).
 // less must be a strict weak ordering; the sort is not stable.
-func Sort2Func[T any](s []T, less func(a, b T) bool) {
+func sort2Func[T any](s []T, less func(a, b T) bool) {
 	_ = s[1]
 	v0, v1 := s[0], s[1]
 
@@ -17,10 +17,10 @@ func Sort2Func[T any](s []T, less func(a, b T) bool) {
 	s[0], s[1] = v0, v1
 }
 
-// Sort3Func sorts s[:3] in place with a sorting-network kernel:
+// sort3Func sorts s[:3] in place with a sorting-network kernel:
 // depth 3, size 3, depth-optimal (proven minimum 3).
 // less must be a strict weak ordering; the sort is not stable.
-func Sort3Func[T any](s []T, less func(a, b T) bool) {
+func sort3Func[T any](s []T, less func(a, b T) bool) {
 	_ = s[2]
 	v0, v1, v2 := s[0], s[1], s[2]
 
@@ -42,10 +42,10 @@ func Sort3Func[T any](s []T, less func(a, b T) bool) {
 	s[0], s[1], s[2] = v0, v1, v2
 }
 
-// Sort4Func sorts s[:4] in place with a sorting-network kernel:
+// sort4Func sorts s[:4] in place with a sorting-network kernel:
 // depth 3, size 5, depth-optimal (proven minimum 3).
 // less must be a strict weak ordering; the sort is not stable.
-func Sort4Func[T any](s []T, less func(a, b T) bool) {
+func sort4Func[T any](s []T, less func(a, b T) bool) {
 	_ = s[3]
 	v0, v1, v2, v3 := s[0], s[1], s[2], s[3]
 
@@ -73,10 +73,10 @@ func Sort4Func[T any](s []T, less func(a, b T) bool) {
 	s[0], s[1], s[2], s[3] = v0, v1, v2, v3
 }
 
-// Sort5Func sorts s[:5] in place with a sorting-network kernel:
+// sort5Func sorts s[:5] in place with a sorting-network kernel:
 // depth 5, size 9, depth-optimal (proven minimum 5).
 // less must be a strict weak ordering; the sort is not stable.
-func Sort5Func[T any](s []T, less func(a, b T) bool) {
+func sort5Func[T any](s []T, less func(a, b T) bool) {
 	_ = s[4]
 	v0, v1, v2, v3, v4 := s[0], s[1], s[2], s[3], s[4]
 
@@ -120,10 +120,10 @@ func Sort5Func[T any](s []T, less func(a, b T) bool) {
 	s[0], s[1], s[2], s[3], s[4] = v0, v1, v2, v3, v4
 }
 
-// Sort6Func sorts s[:6] in place with a sorting-network kernel:
+// sort6Func sorts s[:6] in place with a sorting-network kernel:
 // depth 5, size 12, depth-optimal (proven minimum 5).
 // less must be a strict weak ordering; the sort is not stable.
-func Sort6Func[T any](s []T, less func(a, b T) bool) {
+func sort6Func[T any](s []T, less func(a, b T) bool) {
 	_ = s[5]
 	v0, v1, v2, v3, v4, v5 := s[0], s[1], s[2], s[3], s[4], s[5]
 
@@ -176,10 +176,10 @@ func Sort6Func[T any](s []T, less func(a, b T) bool) {
 	s[0], s[1], s[2], s[3], s[4], s[5] = v0, v1, v2, v3, v4, v5
 }
 
-// Sort7Func sorts s[:7] in place with a sorting-network kernel:
+// sort7Func sorts s[:7] in place with a sorting-network kernel:
 // depth 6, size 16, depth-optimal (proven minimum 6).
 // less must be a strict weak ordering; the sort is not stable.
-func Sort7Func[T any](s []T, less func(a, b T) bool) {
+func sort7Func[T any](s []T, less func(a, b T) bool) {
 	_ = s[6]
 	v0, v1, v2, v3, v4, v5, v6 := s[0], s[1], s[2], s[3], s[4], s[5], s[6]
 
@@ -246,10 +246,10 @@ func Sort7Func[T any](s []T, less func(a, b T) bool) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6] = v0, v1, v2, v3, v4, v5, v6
 }
 
-// Sort8Func sorts s[:8] in place with a sorting-network kernel:
+// sort8Func sorts s[:8] in place with a sorting-network kernel:
 // depth 6, size 19, depth-optimal (proven minimum 6).
 // less must be a strict weak ordering; the sort is not stable.
-func Sort8Func[T any](s []T, less func(a, b T) bool) {
+func sort8Func[T any](s []T, less func(a, b T) bool) {
 	_ = s[7]
 	v0, v1, v2, v3, v4, v5, v6, v7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
 
@@ -325,10 +325,10 @@ func Sort8Func[T any](s []T, less func(a, b T) bool) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = v0, v1, v2, v3, v4, v5, v6, v7
 }
 
-// Sort9Func sorts s[:9] in place with a sorting-network kernel:
+// sort9Func sorts s[:9] in place with a sorting-network kernel:
 // depth 7, size 25, depth-optimal (proven minimum 7).
 // less must be a strict weak ordering; the sort is not stable.
-func Sort9Func[T any](s []T, less func(a, b T) bool) {
+func sort9Func[T any](s []T, less func(a, b T) bool) {
 	_ = s[8]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8]
 
@@ -424,10 +424,10 @@ func Sort9Func[T any](s []T, less func(a, b T) bool) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8] = v0, v1, v2, v3, v4, v5, v6, v7, v8
 }
 
-// Sort10Func sorts s[:10] in place with a sorting-network kernel:
+// sort10Func sorts s[:10] in place with a sorting-network kernel:
 // depth 7, size 31, depth-optimal (proven minimum 7).
 // less must be a strict weak ordering; the sort is not stable.
-func Sort10Func[T any](s []T, less func(a, b T) bool) {
+func sort10Func[T any](s []T, less func(a, b T) bool) {
 	_ = s[9]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9]
 
@@ -541,10 +541,10 @@ func Sort10Func[T any](s []T, less func(a, b T) bool) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9
 }
 
-// Sort11Func sorts s[:11] in place with a sorting-network kernel:
+// sort11Func sorts s[:11] in place with a sorting-network kernel:
 // depth 8, size 35, depth-optimal (proven minimum 8).
 // less must be a strict weak ordering; the sort is not stable.
-func Sort11Func[T any](s []T, less func(a, b T) bool) {
+func sort11Func[T any](s []T, less func(a, b T) bool) {
 	_ = s[10]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10]
 
@@ -672,10 +672,10 @@ func Sort11Func[T any](s []T, less func(a, b T) bool) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10
 }
 
-// Sort12Func sorts s[:12] in place with a sorting-network kernel:
+// sort12Func sorts s[:12] in place with a sorting-network kernel:
 // depth 8, size 43, depth-optimal (proven minimum 8).
 // less must be a strict weak ordering; the sort is not stable.
-func Sort12Func[T any](s []T, less func(a, b T) bool) {
+func sort12Func[T any](s []T, less func(a, b T) bool) {
 	_ = s[11]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11]
 
@@ -827,10 +827,10 @@ func Sort12Func[T any](s []T, less func(a, b T) bool) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11
 }
 
-// Sort13Func sorts s[:13] in place with a sorting-network kernel:
+// sort13Func sorts s[:13] in place with a sorting-network kernel:
 // depth 9, size 48, depth-optimal (proven minimum 9).
 // less must be a strict weak ordering; the sort is not stable.
-func Sort13Func[T any](s []T, less func(a, b T) bool) {
+func sort13Func[T any](s []T, less func(a, b T) bool) {
 	_ = s[12]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12]
 
@@ -999,10 +999,10 @@ func Sort13Func[T any](s []T, less func(a, b T) bool) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12
 }
 
-// Sort14Func sorts s[:14] in place with a sorting-network kernel:
+// sort14Func sorts s[:14] in place with a sorting-network kernel:
 // depth 9, size 53, depth-optimal (proven minimum 9).
 // less must be a strict weak ordering; the sort is not stable.
-func Sort14Func[T any](s []T, less func(a, b T) bool) {
+func sort14Func[T any](s []T, less func(a, b T) bool) {
 	_ = s[13]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13]
 
@@ -1186,10 +1186,10 @@ func Sort14Func[T any](s []T, less func(a, b T) bool) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13
 }
 
-// Sort15Func sorts s[:15] in place with a sorting-network kernel:
+// sort15Func sorts s[:15] in place with a sorting-network kernel:
 // depth 9, size 59, depth-optimal (proven minimum 9).
 // less must be a strict weak ordering; the sort is not stable.
-func Sort15Func[T any](s []T, less func(a, b T) bool) {
+func sort15Func[T any](s []T, less func(a, b T) bool) {
 	_ = s[14]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14]
 
@@ -1391,10 +1391,10 @@ func Sort15Func[T any](s []T, less func(a, b T) bool) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14
 }
 
-// Sort16Func sorts s[:16] in place with a sorting-network kernel:
+// sort16Func sorts s[:16] in place with a sorting-network kernel:
 // depth 9, size 65, depth-optimal (proven minimum 9).
 // less must be a strict weak ordering; the sort is not stable.
-func Sort16Func[T any](s []T, less func(a, b T) bool) {
+func sort16Func[T any](s []T, less func(a, b T) bool) {
 	_ = s[15]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14], s[15]
 

@@ -2,9 +2,12 @@
 
 package sortkernels
 
-// Sort2Uint64 sorts s[:2] in place with a sorting-network kernel:
+import "cmp"
+
+// sort2MinMax sorts s[:2] in place with a sorting-network kernel:
 // depth 1, size 1, depth-optimal (proven minimum 1).
-func Sort2Uint64(s []uint64) {
+// Exchanges are min/max pairs; float input must be NaN-free.
+func sort2MinMax[T cmp.Ordered](s []T) {
 	_ = s[1]
 	v0, v1 := s[0], s[1]
 
@@ -14,9 +17,10 @@ func Sort2Uint64(s []uint64) {
 	s[0], s[1] = v0, v1
 }
 
-// Sort3Uint64 sorts s[:3] in place with a sorting-network kernel:
+// sort3MinMax sorts s[:3] in place with a sorting-network kernel:
 // depth 3, size 3, depth-optimal (proven minimum 3).
-func Sort3Uint64(s []uint64) {
+// Exchanges are min/max pairs; float input must be NaN-free.
+func sort3MinMax[T cmp.Ordered](s []T) {
 	_ = s[2]
 	v0, v1, v2 := s[0], s[1], s[2]
 
@@ -32,9 +36,10 @@ func Sort3Uint64(s []uint64) {
 	s[0], s[1], s[2] = v0, v1, v2
 }
 
-// Sort4Uint64 sorts s[:4] in place with a sorting-network kernel:
+// sort4MinMax sorts s[:4] in place with a sorting-network kernel:
 // depth 3, size 5, depth-optimal (proven minimum 3).
-func Sort4Uint64(s []uint64) {
+// Exchanges are min/max pairs; float input must be NaN-free.
+func sort4MinMax[T cmp.Ordered](s []T) {
 	_ = s[3]
 	v0, v1, v2, v3 := s[0], s[1], s[2], s[3]
 
@@ -52,9 +57,10 @@ func Sort4Uint64(s []uint64) {
 	s[0], s[1], s[2], s[3] = v0, v1, v2, v3
 }
 
-// Sort5Uint64 sorts s[:5] in place with a sorting-network kernel:
+// sort5MinMax sorts s[:5] in place with a sorting-network kernel:
 // depth 5, size 9, depth-optimal (proven minimum 5).
-func Sort5Uint64(s []uint64) {
+// Exchanges are min/max pairs; float input must be NaN-free.
+func sort5MinMax[T cmp.Ordered](s []T) {
 	_ = s[4]
 	v0, v1, v2, v3, v4 := s[0], s[1], s[2], s[3], s[4]
 
@@ -80,9 +86,10 @@ func Sort5Uint64(s []uint64) {
 	s[0], s[1], s[2], s[3], s[4] = v0, v1, v2, v3, v4
 }
 
-// Sort6Uint64 sorts s[:6] in place with a sorting-network kernel:
+// sort6MinMax sorts s[:6] in place with a sorting-network kernel:
 // depth 5, size 12, depth-optimal (proven minimum 5).
-func Sort6Uint64(s []uint64) {
+// Exchanges are min/max pairs; float input must be NaN-free.
+func sort6MinMax[T cmp.Ordered](s []T) {
 	_ = s[5]
 	v0, v1, v2, v3, v4, v5 := s[0], s[1], s[2], s[3], s[4], s[5]
 
@@ -111,9 +118,10 @@ func Sort6Uint64(s []uint64) {
 	s[0], s[1], s[2], s[3], s[4], s[5] = v0, v1, v2, v3, v4, v5
 }
 
-// Sort7Uint64 sorts s[:7] in place with a sorting-network kernel:
+// sort7MinMax sorts s[:7] in place with a sorting-network kernel:
 // depth 6, size 16, depth-optimal (proven minimum 6).
-func Sort7Uint64(s []uint64) {
+// Exchanges are min/max pairs; float input must be NaN-free.
+func sort7MinMax[T cmp.Ordered](s []T) {
 	_ = s[6]
 	v0, v1, v2, v3, v4, v5, v6 := s[0], s[1], s[2], s[3], s[4], s[5], s[6]
 
@@ -148,9 +156,10 @@ func Sort7Uint64(s []uint64) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6] = v0, v1, v2, v3, v4, v5, v6
 }
 
-// Sort8Uint64 sorts s[:8] in place with a sorting-network kernel:
+// sort8MinMax sorts s[:8] in place with a sorting-network kernel:
 // depth 6, size 19, depth-optimal (proven minimum 6).
-func Sort8Uint64(s []uint64) {
+// Exchanges are min/max pairs; float input must be NaN-free.
+func sort8MinMax[T cmp.Ordered](s []T) {
 	_ = s[7]
 	v0, v1, v2, v3, v4, v5, v6, v7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
 
@@ -188,9 +197,10 @@ func Sort8Uint64(s []uint64) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = v0, v1, v2, v3, v4, v5, v6, v7
 }
 
-// Sort9Uint64 sorts s[:9] in place with a sorting-network kernel:
+// sort9MinMax sorts s[:9] in place with a sorting-network kernel:
 // depth 7, size 25, depth-optimal (proven minimum 7).
-func Sort9Uint64(s []uint64) {
+// Exchanges are min/max pairs; float input must be NaN-free.
+func sort9MinMax[T cmp.Ordered](s []T) {
 	_ = s[8]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8]
 
@@ -236,9 +246,10 @@ func Sort9Uint64(s []uint64) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8] = v0, v1, v2, v3, v4, v5, v6, v7, v8
 }
 
-// Sort10Uint64 sorts s[:10] in place with a sorting-network kernel:
+// sort10MinMax sorts s[:10] in place with a sorting-network kernel:
 // depth 7, size 31, depth-optimal (proven minimum 7).
-func Sort10Uint64(s []uint64) {
+// Exchanges are min/max pairs; float input must be NaN-free.
+func sort10MinMax[T cmp.Ordered](s []T) {
 	_ = s[9]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9]
 
@@ -290,9 +301,10 @@ func Sort10Uint64(s []uint64) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9
 }
 
-// Sort11Uint64 sorts s[:11] in place with a sorting-network kernel:
+// sort11MinMax sorts s[:11] in place with a sorting-network kernel:
 // depth 8, size 35, depth-optimal (proven minimum 8).
-func Sort11Uint64(s []uint64) {
+// Exchanges are min/max pairs; float input must be NaN-free.
+func sort11MinMax[T cmp.Ordered](s []T) {
 	_ = s[10]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10]
 
@@ -350,9 +362,10 @@ func Sort11Uint64(s []uint64) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10
 }
 
-// Sort12Uint64 sorts s[:12] in place with a sorting-network kernel:
+// sort12MinMax sorts s[:12] in place with a sorting-network kernel:
 // depth 8, size 43, depth-optimal (proven minimum 8).
-func Sort12Uint64(s []uint64) {
+// Exchanges are min/max pairs; float input must be NaN-free.
+func sort12MinMax[T cmp.Ordered](s []T) {
 	_ = s[11]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11]
 
@@ -418,9 +431,10 @@ func Sort12Uint64(s []uint64) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11
 }
 
-// Sort13Uint64 sorts s[:13] in place with a sorting-network kernel:
+// sort13MinMax sorts s[:13] in place with a sorting-network kernel:
 // depth 9, size 48, depth-optimal (proven minimum 9).
-func Sort13Uint64(s []uint64) {
+// Exchanges are min/max pairs; float input must be NaN-free.
+func sort13MinMax[T cmp.Ordered](s []T) {
 	_ = s[12]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12]
 
@@ -493,9 +507,10 @@ func Sort13Uint64(s []uint64) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12
 }
 
-// Sort14Uint64 sorts s[:14] in place with a sorting-network kernel:
+// sort14MinMax sorts s[:14] in place with a sorting-network kernel:
 // depth 9, size 53, depth-optimal (proven minimum 9).
-func Sort14Uint64(s []uint64) {
+// Exchanges are min/max pairs; float input must be NaN-free.
+func sort14MinMax[T cmp.Ordered](s []T) {
 	_ = s[13]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13]
 
@@ -573,9 +588,10 @@ func Sort14Uint64(s []uint64) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13
 }
 
-// Sort15Uint64 sorts s[:15] in place with a sorting-network kernel:
+// sort15MinMax sorts s[:15] in place with a sorting-network kernel:
 // depth 9, size 59, depth-optimal (proven minimum 9).
-func Sort15Uint64(s []uint64) {
+// Exchanges are min/max pairs; float input must be NaN-free.
+func sort15MinMax[T cmp.Ordered](s []T) {
 	_ = s[14]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14]
 
@@ -659,9 +675,10 @@ func Sort15Uint64(s []uint64) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14
 }
 
-// Sort16Uint64 sorts s[:16] in place with a sorting-network kernel:
+// sort16MinMax sorts s[:16] in place with a sorting-network kernel:
 // depth 9, size 65, depth-optimal (proven minimum 9).
-func Sort16Uint64(s []uint64) {
+// Exchanges are min/max pairs; float input must be NaN-free.
+func sort16MinMax[T cmp.Ordered](s []T) {
 	_ = s[15]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14], s[15]
 

@@ -4,9 +4,9 @@ package sortkernels
 
 import "cmp"
 
-// Sort2Ordered sorts s[:2] in place with a sorting-network kernel:
+// sort2Swap sorts s[:2] in place with a sorting-network kernel:
 // depth 1, size 1, depth-optimal (proven minimum 1).
-func Sort2Ordered[T cmp.Ordered](s []T) {
+func sort2Swap[T cmp.Ordered](s []T) {
 	_ = s[1]
 	v0, v1 := s[0], s[1]
 
@@ -18,9 +18,9 @@ func Sort2Ordered[T cmp.Ordered](s []T) {
 	s[0], s[1] = v0, v1
 }
 
-// Sort3Ordered sorts s[:3] in place with a sorting-network kernel:
+// sort3Swap sorts s[:3] in place with a sorting-network kernel:
 // depth 3, size 3, depth-optimal (proven minimum 3).
-func Sort3Ordered[T cmp.Ordered](s []T) {
+func sort3Swap[T cmp.Ordered](s []T) {
 	_ = s[2]
 	v0, v1, v2 := s[0], s[1], s[2]
 
@@ -42,9 +42,9 @@ func Sort3Ordered[T cmp.Ordered](s []T) {
 	s[0], s[1], s[2] = v0, v1, v2
 }
 
-// Sort4Ordered sorts s[:4] in place with a sorting-network kernel:
+// sort4Swap sorts s[:4] in place with a sorting-network kernel:
 // depth 3, size 5, depth-optimal (proven minimum 3).
-func Sort4Ordered[T cmp.Ordered](s []T) {
+func sort4Swap[T cmp.Ordered](s []T) {
 	_ = s[3]
 	v0, v1, v2, v3 := s[0], s[1], s[2], s[3]
 
@@ -72,9 +72,9 @@ func Sort4Ordered[T cmp.Ordered](s []T) {
 	s[0], s[1], s[2], s[3] = v0, v1, v2, v3
 }
 
-// Sort5Ordered sorts s[:5] in place with a sorting-network kernel:
+// sort5Swap sorts s[:5] in place with a sorting-network kernel:
 // depth 5, size 9, depth-optimal (proven minimum 5).
-func Sort5Ordered[T cmp.Ordered](s []T) {
+func sort5Swap[T cmp.Ordered](s []T) {
 	_ = s[4]
 	v0, v1, v2, v3, v4 := s[0], s[1], s[2], s[3], s[4]
 
@@ -118,9 +118,9 @@ func Sort5Ordered[T cmp.Ordered](s []T) {
 	s[0], s[1], s[2], s[3], s[4] = v0, v1, v2, v3, v4
 }
 
-// Sort6Ordered sorts s[:6] in place with a sorting-network kernel:
+// sort6Swap sorts s[:6] in place with a sorting-network kernel:
 // depth 5, size 12, depth-optimal (proven minimum 5).
-func Sort6Ordered[T cmp.Ordered](s []T) {
+func sort6Swap[T cmp.Ordered](s []T) {
 	_ = s[5]
 	v0, v1, v2, v3, v4, v5 := s[0], s[1], s[2], s[3], s[4], s[5]
 
@@ -173,9 +173,9 @@ func Sort6Ordered[T cmp.Ordered](s []T) {
 	s[0], s[1], s[2], s[3], s[4], s[5] = v0, v1, v2, v3, v4, v5
 }
 
-// Sort7Ordered sorts s[:7] in place with a sorting-network kernel:
+// sort7Swap sorts s[:7] in place with a sorting-network kernel:
 // depth 6, size 16, depth-optimal (proven minimum 6).
-func Sort7Ordered[T cmp.Ordered](s []T) {
+func sort7Swap[T cmp.Ordered](s []T) {
 	_ = s[6]
 	v0, v1, v2, v3, v4, v5, v6 := s[0], s[1], s[2], s[3], s[4], s[5], s[6]
 
@@ -242,9 +242,9 @@ func Sort7Ordered[T cmp.Ordered](s []T) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6] = v0, v1, v2, v3, v4, v5, v6
 }
 
-// Sort8Ordered sorts s[:8] in place with a sorting-network kernel:
+// sort8Swap sorts s[:8] in place with a sorting-network kernel:
 // depth 6, size 19, depth-optimal (proven minimum 6).
-func Sort8Ordered[T cmp.Ordered](s []T) {
+func sort8Swap[T cmp.Ordered](s []T) {
 	_ = s[7]
 	v0, v1, v2, v3, v4, v5, v6, v7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
 
@@ -320,9 +320,9 @@ func Sort8Ordered[T cmp.Ordered](s []T) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = v0, v1, v2, v3, v4, v5, v6, v7
 }
 
-// Sort9Ordered sorts s[:9] in place with a sorting-network kernel:
+// sort9Swap sorts s[:9] in place with a sorting-network kernel:
 // depth 7, size 25, depth-optimal (proven minimum 7).
-func Sort9Ordered[T cmp.Ordered](s []T) {
+func sort9Swap[T cmp.Ordered](s []T) {
 	_ = s[8]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8]
 
@@ -418,9 +418,9 @@ func Sort9Ordered[T cmp.Ordered](s []T) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8] = v0, v1, v2, v3, v4, v5, v6, v7, v8
 }
 
-// Sort10Ordered sorts s[:10] in place with a sorting-network kernel:
+// sort10Swap sorts s[:10] in place with a sorting-network kernel:
 // depth 7, size 31, depth-optimal (proven minimum 7).
-func Sort10Ordered[T cmp.Ordered](s []T) {
+func sort10Swap[T cmp.Ordered](s []T) {
 	_ = s[9]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9]
 
@@ -534,9 +534,9 @@ func Sort10Ordered[T cmp.Ordered](s []T) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9
 }
 
-// Sort11Ordered sorts s[:11] in place with a sorting-network kernel:
+// sort11Swap sorts s[:11] in place with a sorting-network kernel:
 // depth 8, size 35, depth-optimal (proven minimum 8).
-func Sort11Ordered[T cmp.Ordered](s []T) {
+func sort11Swap[T cmp.Ordered](s []T) {
 	_ = s[10]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10]
 
@@ -664,9 +664,9 @@ func Sort11Ordered[T cmp.Ordered](s []T) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10
 }
 
-// Sort12Ordered sorts s[:12] in place with a sorting-network kernel:
+// sort12Swap sorts s[:12] in place with a sorting-network kernel:
 // depth 8, size 43, depth-optimal (proven minimum 8).
-func Sort12Ordered[T cmp.Ordered](s []T) {
+func sort12Swap[T cmp.Ordered](s []T) {
 	_ = s[11]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11]
 
@@ -818,9 +818,9 @@ func Sort12Ordered[T cmp.Ordered](s []T) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11
 }
 
-// Sort13Ordered sorts s[:13] in place with a sorting-network kernel:
+// sort13Swap sorts s[:13] in place with a sorting-network kernel:
 // depth 9, size 48, depth-optimal (proven minimum 9).
-func Sort13Ordered[T cmp.Ordered](s []T) {
+func sort13Swap[T cmp.Ordered](s []T) {
 	_ = s[12]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12]
 
@@ -989,9 +989,9 @@ func Sort13Ordered[T cmp.Ordered](s []T) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12
 }
 
-// Sort14Ordered sorts s[:14] in place with a sorting-network kernel:
+// sort14Swap sorts s[:14] in place with a sorting-network kernel:
 // depth 9, size 53, depth-optimal (proven minimum 9).
-func Sort14Ordered[T cmp.Ordered](s []T) {
+func sort14Swap[T cmp.Ordered](s []T) {
 	_ = s[13]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13]
 
@@ -1175,9 +1175,9 @@ func Sort14Ordered[T cmp.Ordered](s []T) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13
 }
 
-// Sort15Ordered sorts s[:15] in place with a sorting-network kernel:
+// sort15Swap sorts s[:15] in place with a sorting-network kernel:
 // depth 9, size 59, depth-optimal (proven minimum 9).
-func Sort15Ordered[T cmp.Ordered](s []T) {
+func sort15Swap[T cmp.Ordered](s []T) {
 	_ = s[14]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14]
 
@@ -1379,9 +1379,9 @@ func Sort15Ordered[T cmp.Ordered](s []T) {
 	s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14
 }
 
-// Sort16Ordered sorts s[:16] in place with a sorting-network kernel:
+// sort16Swap sorts s[:16] in place with a sorting-network kernel:
 // depth 9, size 65, depth-optimal (proven minimum 9).
-func Sort16Ordered[T cmp.Ordered](s []T) {
+func sort16Swap[T cmp.Ordered](s []T) {
 	_ = s[15]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14], s[15]
 

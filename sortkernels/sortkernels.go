@@ -3,15 +3,20 @@
 // Package sortkernels holds branchless sorting-network kernels for
 // widths 2..16, generated from the curated depth-optimal networks in
 // internal/netbuild. Each kernel keeps the whole slice in locals and
-// applies a fixed compare-exchange schedule, level by level, with no
-// data-dependent branches on the integer families — the comparator
-// count is the depth-optimal network's size, and the level grouping
-// leaves independent exchanges adjacent for the CPU to overlap.
+// applies a fixed compare-exchange schedule, level by level — the
+// comparator count is the depth-optimal network's size, and the level
+// grouping leaves independent exchanges adjacent for the CPU to
+// overlap.
 //
-// The batch entry points (Batch<Kind>, BatchFlat<Kind>) sort many
-// same-width slices per call: column-major and row-major pure-Go
-// kernels for every width, plus AVX-512 columnar kernels and layout
-// transposes on amd64, selected at init when the CPU supports them.
+// The kernels come in one generic family per exchange idiom, and the
+// entry points (Ordered, Func, Batch, BatchFlat) pick the family by
+// element type: int, uint64 and float64 take the min/max kernels
+// (conditional moves, no data-dependent branches), every other
+// cmp.Ordered type the compare-and-swap kernels, and Func a less
+// callback. The batch entry points sort many same-width slices per
+// call: column-major and row-major pure-Go kernels for every width,
+// plus AVX-512 columnar kernels and layout transposes on amd64,
+// selected at init when the CPU supports them.
 //
 // Regenerate with `make netgen`; `make netgen-check` fails the build
 // if the committed files drift from what cmd/netgen emits.
@@ -31,220 +36,158 @@ func Widths() []int {
 	return []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 }
 
-var intKernels = [MaxWidth + 1]func(s []int){
-	2:  Sort2Int,
-	3:  Sort3Int,
-	4:  Sort4Int,
-	5:  Sort5Int,
-	6:  Sort6Int,
-	7:  Sort7Int,
-	8:  Sort8Int,
-	9:  Sort9Int,
-	10: Sort10Int,
-	11: Sort11Int,
-	12: Sort12Int,
-	13: Sort13Int,
-	14: Sort14Int,
-	15: Sort15Int,
-	16: Sort16Int,
-}
-
-// Int sorts s in place with the generated kernel matching len(s)
+// Ordered sorts s in place with the generated kernel matching len(s)
 // and reports whether one was available; slices shorter than 2 are
 // trivially sorted. When it returns false, s is untouched.
-func Int(s []int) bool {
-	if len(s) < 2 {
-		return true
-	}
-	if len(s) <= MaxWidth {
-		if k := intKernels[len(s)]; k != nil {
-			k(s)
-			return true
-		}
-	}
-	return false
-}
-
-// IntKernel returns the width-n int kernel, or nil when none exists.
-// Hot loops that sort many same-width slices can hoist the lookup
-// (and Int's length checks) out of the loop.
-func IntKernel(n int) func(s []int) {
-	if n < MinWidth || n > MaxWidth {
-		return nil
-	}
-	return intKernels[n]
-}
-
-var uint64Kernels = [MaxWidth + 1]func(s []uint64){
-	2:  Sort2Uint64,
-	3:  Sort3Uint64,
-	4:  Sort4Uint64,
-	5:  Sort5Uint64,
-	6:  Sort6Uint64,
-	7:  Sort7Uint64,
-	8:  Sort8Uint64,
-	9:  Sort9Uint64,
-	10: Sort10Uint64,
-	11: Sort11Uint64,
-	12: Sort12Uint64,
-	13: Sort13Uint64,
-	14: Sort14Uint64,
-	15: Sort15Uint64,
-	16: Sort16Uint64,
-}
-
-// Uint64 sorts s in place with the generated kernel matching len(s)
-// and reports whether one was available; slices shorter than 2 are
-// trivially sorted. When it returns false, s is untouched.
-func Uint64(s []uint64) bool {
-	if len(s) < 2 {
-		return true
-	}
-	if len(s) <= MaxWidth {
-		if k := uint64Kernels[len(s)]; k != nil {
-			k(s)
-			return true
-		}
-	}
-	return false
-}
-
-// Uint64Kernel returns the width-n uint64 kernel, or nil when none exists.
-// Hot loops that sort many same-width slices can hoist the lookup
-// (and Uint64's length checks) out of the loop.
-func Uint64Kernel(n int) func(s []uint64) {
-	if n < MinWidth || n > MaxWidth {
-		return nil
-	}
-	return uint64Kernels[n]
-}
-
-var float64Kernels = [MaxWidth + 1]func(s []float64){
-	2:  Sort2Float64,
-	3:  Sort3Float64,
-	4:  Sort4Float64,
-	5:  Sort5Float64,
-	6:  Sort6Float64,
-	7:  Sort7Float64,
-	8:  Sort8Float64,
-	9:  Sort9Float64,
-	10: Sort10Float64,
-	11: Sort11Float64,
-	12: Sort12Float64,
-	13: Sort13Float64,
-	14: Sort14Float64,
-	15: Sort15Float64,
-	16: Sort16Float64,
-}
-
-// Float64 sorts s in place with the generated kernel matching len(s)
-// and reports whether one was available; slices shorter than 2 are
-// trivially sorted. When it returns false, s is untouched.
-func Float64(s []float64) bool {
-	if len(s) < 2 {
-		return true
-	}
-	if len(s) <= MaxWidth {
-		if k := float64Kernels[len(s)]; k != nil {
-			k(s)
-			return true
-		}
-	}
-	return false
-}
-
-// Float64Kernel returns the width-n float64 kernel, or nil when none exists.
-// Hot loops that sort many same-width slices can hoist the lookup
-// (and Float64's length checks) out of the loop.
-func Float64Kernel(n int) func(s []float64) {
-	if n < MinWidth || n > MaxWidth {
-		return nil
-	}
-	return float64Kernels[n]
-}
-
-// Ordered sorts s in place with the generated generic kernel
-// matching len(s) and reports whether one was available; slices
-// shorter than 2 are trivially sorted. When it returns false, s is
-// untouched.
+//
+// The element type picks the exchange idiom: int, uint64 and float64
+// take the min/max kernels, which compile to conditional moves, and
+// every other type the compare-and-swap kernels, one comparison per
+// exchange. Float64 input must be NaN-free: min/max would turn one NaN
+// into two, so callers prescan. On float64 the min/max kernels order
+// -0 before +0.
 func Ordered[T cmp.Ordered](s []T) bool {
-	switch len(s) {
-	case 0, 1:
-		return true
-	case 2:
-		Sort2Ordered(s)
-	case 3:
-		Sort3Ordered(s)
-	case 4:
-		Sort4Ordered(s)
-	case 5:
-		Sort5Ordered(s)
-	case 6:
-		Sort6Ordered(s)
-	case 7:
-		Sort7Ordered(s)
-	case 8:
-		Sort8Ordered(s)
-	case 9:
-		Sort9Ordered(s)
-	case 10:
-		Sort10Ordered(s)
-	case 11:
-		Sort11Ordered(s)
-	case 12:
-		Sort12Ordered(s)
-	case 13:
-		Sort13Ordered(s)
-	case 14:
-		Sort14Ordered(s)
-	case 15:
-		Sort15Ordered(s)
-	case 16:
-		Sort16Ordered(s)
+	switch v := any(s).(type) {
+	case []int:
+		return sortMinMax(v)
+	case []uint64:
+		return sortMinMax(v)
+	case []float64:
+		return sortMinMax(v)
 	}
-	return false
+	return sortSwap(s)
 }
 
-// Func sorts s in place by less with the generated generic kernel
-// matching len(s) and reports whether one was available; slices
-// shorter than 2 are trivially sorted. When it returns false, s is
-// untouched. The sort is not stable.
+// Int is Ordered on []int.
+func Int(s []int) bool { return Ordered(s) }
+
+// Uint64 is Ordered on []uint64.
+func Uint64(s []uint64) bool { return Ordered(s) }
+
+// Float64 is Ordered on []float64; s must be NaN-free.
+func Float64(s []float64) bool { return Ordered(s) }
+
+// Func sorts s in place by less with the generated kernel matching
+// len(s) and reports whether one was available; slices shorter than 2
+// are trivially sorted. When it returns false, s is untouched. The sort
+// is not stable.
 func Func[T any](s []T, less func(a, b T) bool) bool {
 	switch len(s) {
 	case 0, 1:
-		return true
 	case 2:
-		Sort2Func(s, less)
+		sort2Func(s, less)
 	case 3:
-		Sort3Func(s, less)
+		sort3Func(s, less)
 	case 4:
-		Sort4Func(s, less)
+		sort4Func(s, less)
 	case 5:
-		Sort5Func(s, less)
+		sort5Func(s, less)
 	case 6:
-		Sort6Func(s, less)
+		sort6Func(s, less)
 	case 7:
-		Sort7Func(s, less)
+		sort7Func(s, less)
 	case 8:
-		Sort8Func(s, less)
+		sort8Func(s, less)
 	case 9:
-		Sort9Func(s, less)
+		sort9Func(s, less)
 	case 10:
-		Sort10Func(s, less)
+		sort10Func(s, less)
 	case 11:
-		Sort11Func(s, less)
+		sort11Func(s, less)
 	case 12:
-		Sort12Func(s, less)
+		sort12Func(s, less)
 	case 13:
-		Sort13Func(s, less)
+		sort13Func(s, less)
 	case 14:
-		Sort14Func(s, less)
+		sort14Func(s, less)
 	case 15:
-		Sort15Func(s, less)
+		sort15Func(s, less)
 	case 16:
-		Sort16Func(s, less)
+		sort16Func(s, less)
+	default:
+		return false
 	}
-	return false
+	return true
+}
+
+// sortMinMax runs the MinMax kernel matching len(s).
+func sortMinMax[T cmp.Ordered](s []T) bool {
+	switch len(s) {
+	case 0, 1:
+	case 2:
+		sort2MinMax(s)
+	case 3:
+		sort3MinMax(s)
+	case 4:
+		sort4MinMax(s)
+	case 5:
+		sort5MinMax(s)
+	case 6:
+		sort6MinMax(s)
+	case 7:
+		sort7MinMax(s)
+	case 8:
+		sort8MinMax(s)
+	case 9:
+		sort9MinMax(s)
+	case 10:
+		sort10MinMax(s)
+	case 11:
+		sort11MinMax(s)
+	case 12:
+		sort12MinMax(s)
+	case 13:
+		sort13MinMax(s)
+	case 14:
+		sort14MinMax(s)
+	case 15:
+		sort15MinMax(s)
+	case 16:
+		sort16MinMax(s)
+	default:
+		return false
+	}
+	return true
+}
+
+// sortSwap runs the Swap kernel matching len(s).
+func sortSwap[T cmp.Ordered](s []T) bool {
+	switch len(s) {
+	case 0, 1:
+	case 2:
+		sort2Swap(s)
+	case 3:
+		sort3Swap(s)
+	case 4:
+		sort4Swap(s)
+	case 5:
+		sort5Swap(s)
+	case 6:
+		sort6Swap(s)
+	case 7:
+		sort7Swap(s)
+	case 8:
+		sort8Swap(s)
+	case 9:
+		sort9Swap(s)
+	case 10:
+		sort10Swap(s)
+	case 11:
+		sort11Swap(s)
+	case 12:
+		sort12Swap(s)
+	case 13:
+		sort13Swap(s)
+	case 14:
+		sort14Swap(s)
+	case 15:
+		sort15Swap(s)
+	case 16:
+		sort16Swap(s)
+	default:
+		return false
+	}
+	return true
 }
 
 // levels holds the compare-exchange schedule of every kernel, level
