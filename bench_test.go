@@ -11,7 +11,9 @@ package shufflenet_test
 // cmd/experiments' job.
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -174,6 +176,49 @@ func BenchmarkE4Certificate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDecomposeIterated measures recovering the iterated reverse
+// delta structure of a bare circuit — the first step of every
+// certificate for a network given as a file or request body — on the
+// lab's certificate shape: butterfly, full random and butterfly blocks
+// with seeded glue permutations.
+func BenchmarkDecomposeIterated(b *testing.B) {
+	const n, blocks = 1024, 3
+	l := bits.Lg(n)
+	rng := rand.New(rand.NewSource(9))
+	it := delta.NewIterated(n)
+	it.AddBlock(nil, delta.Butterfly(l))
+	it.AddBlock(perm.Random(n, rng), delta.Random(l, 1.0, rng))
+	it.AddBlock(perm.Random(n, rng), delta.Butterfly(l))
+	circ, _ := it.ToNetwork()
+	b.Run(fmt.Sprintf("n=%d,blocks=%d", n, blocks), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := delta.DecomposeIterated(circ, l); !ok {
+				b.Fatal("DecomposeIterated refused an iterated RDN")
+			}
+		}
+	})
+}
+
+// BenchmarkReadText measures parsing a small network from its text
+// form, the first step of every shufflenetd request.
+func BenchmarkReadText(b *testing.B) {
+	const n, depth = 16, 10
+	var buf bytes.Buffer
+	if err := randnet.Levels(n, depth, rand.New(rand.NewSource(10))).WriteText(&buf); err != nil {
+		b.Fatal(err)
+	}
+	text := buf.Bytes()
+	b.Run(fmt.Sprintf("n=%d,depth=%d", n, depth), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := network.ReadText(bytes.NewReader(text)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkE5TruncatedBlocks measures the Section 5 variant: Theorem

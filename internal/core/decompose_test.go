@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -52,5 +53,50 @@ func TestAdversaryOnDecomposedBitonic(t *testing.T) {
 	an := Theorem41(recovered, 0)
 	if _, err := an.Certificate(); err == nil {
 		t.Fatal("certificate extracted from a (decomposed) sorting network")
+	}
+}
+
+// TestAdversaryOnDecomposedCircuitDeterministic: a circuit given as a
+// file always yields the same adversary result — repeated recoveries
+// of one circuit give the same |D| and a byte-identical certificate.
+func TestAdversaryOnDecomposedCircuitDeterministic(t *testing.T) {
+	const n = 256
+	l := lg(n)
+	rng := rand.New(rand.NewSource(82))
+	orig := delta.NewIterated(n)
+	orig.AddBlock(nil, delta.Butterfly(l))
+	orig.AddBlock(perm.Random(n, rng), delta.Random(l, 1.0, rng))
+	orig.AddBlock(perm.Random(n, rng), delta.Butterfly(l))
+	circ, _ := orig.ToNetwork()
+
+	var wantD int
+	var wantCert []byte
+	for call := 0; call < 5; call++ {
+		recovered, ok := delta.DecomposeIterated(circ, l)
+		if !ok {
+			t.Fatal("decomposition failed")
+		}
+		an := Theorem41(recovered, 0)
+		cert, err := an.Certificate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cert.Verify(circ); err != nil {
+			t.Fatalf("certificate rejected by the circuit: %v", err)
+		}
+		var b bytes.Buffer
+		if err := cert.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		if call == 0 {
+			wantD, wantCert = len(an.D), b.Bytes()
+			continue
+		}
+		if len(an.D) != wantD {
+			t.Fatalf("call %d: |D| = %d, first call gave %d", call, len(an.D), wantD)
+		}
+		if !bytes.Equal(b.Bytes(), wantCert) {
+			t.Fatalf("call %d: certificate differs from the first call's", call)
+		}
 	}
 }

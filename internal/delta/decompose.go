@@ -19,20 +19,16 @@ import (
 // Decompose is what lets the lower-bound adversary attack networks
 // given only as circuits (e.g. loaded from a file): the adversary
 // recurses on the recovered structure.
+//
+// The result is a pure function of the circuit's comparator sets: the
+// order in which a level lists its comparators does not change it.
+// Apart from the backtracking over balanced bipartitions (see
+// IsReverseDelta) it costs O(n·l²) on n = 2^l rails.
 func Decompose(c *network.Network) (d *Network, railOf []int, ok bool) {
-	n := c.Wires()
-	if !bits.IsPow2(n) {
+	if !bits.IsPow2(c.Wires()) {
 		return nil, nil, false
 	}
-	l := bits.Lg(n)
-	if c.Depth() != l {
-		return nil, nil, false
-	}
-	rails := make([]int, n)
-	for i := range rails {
-		rails[i] = i
-	}
-	return decompose(c, rails, l)
+	return decomposeBlock(c.Wires(), c.Levels())
 }
 
 // DecomposeIterated recovers a (k, l)-iterated reverse delta structure
@@ -46,7 +42,10 @@ func Decompose(c *network.Network) (d *Network, railOf []int, ok bool) {
 //	correspondence; inputs are taken rail-indexed directly.
 //
 // ok is false if the depth is not a multiple of l or any segment is not
-// a reverse delta network.
+// a reverse delta network. Like Decompose, the recovery is
+// deterministic — the same circuit always yields the same structure,
+// and so the same adversary analysis and certificate — and costs
+// O(n·l²) per block, reading the segments in place.
 func DecomposeIterated(c *network.Network, l int) (*Iterated, bool) {
 	n := c.Wires()
 	if !bits.IsPow2(n) || l < 1 || c.Depth()%l != 0 {
@@ -56,8 +55,7 @@ func DecomposeIterated(c *network.Network, l int) (*Iterated, bool) {
 	it := NewIterated(n)
 	prevRailOf := perm.Identity(n) // block 0 receives rail-indexed data
 	for b := 0; b < blocks; b++ {
-		seg := c.Slice(b*l, (b+1)*l)
-		d, railOf, ok := Decompose(seg)
+		d, railOf, ok := decomposeBlock(n, c.Levels()[b*l:(b+1)*l])
 		if !ok {
 			return nil, false
 		}
@@ -72,121 +70,143 @@ func DecomposeIterated(c *network.Network, l int) (*Iterated, bool) {
 			pre[s] = inv[prevRailOf[s]]
 		}
 		it.AddBlock(pre, d)
-		prevRailOf = perm.Perm(railOf).Clone()
+		prevRailOf = railOf
 	}
 	return it, true
 }
 
-// decompose mirrors rdnCheck but builds the structure on success.
-func decompose(c *network.Network, rails []int, l int) (*Network, []int, bool) {
-	if l == 0 {
-		if len(rails) != 1 {
-			return nil, nil, false
-		}
-		return Leaf(), []int{rails[0]}, true
-	}
-	if len(rails) != 1<<uint(l) {
+// block is one l-level segment of an n-rail circuit, indexed by rail
+// so that each recursive call of decompose reads only its own rails.
+type block struct {
+	partner [][]int  // partner[li][r]: the rail r meets at level li, or -1
+	isMin   [][]bool // isMin[li][r]: r receives the minimum at level li
+	pos     []int    // pos[r]: r's index in the current call's rails
+}
+
+// decomposeBlock decomposes the segment levels of an n-rail circuit,
+// n a power of two, as one reverse delta network.
+func decomposeBlock(n int, levels []network.Level) (*Network, []int, bool) {
+	if len(levels) != bits.Lg(n) {
 		return nil, nil, false
 	}
-	inSet := make(map[int]bool, len(rails))
-	for _, r := range rails {
-		inSet[r] = true
-	}
-
-	parent := make(map[int]int, len(rails))
-	var find func(x int) int
-	find = func(x int) int {
-		p, okP := parent[x]
-		if !okP || p == x {
-			parent[x] = x
-			return x
+	b := &block{pos: make([]int, n)}
+	for _, lv := range levels {
+		partner, isMin := make([]int, n), make([]bool, n)
+		for r := range partner {
+			partner[r] = -1
 		}
-		root := find(p)
-		parent[x] = root
-		return root
+		for _, cm := range lv {
+			partner[cm.Min], partner[cm.Max] = cm.Max, cm.Min
+			isMin[cm.Min] = true
+		}
+		b.partner = append(b.partner, partner)
+		b.isMin = append(b.isMin, isMin)
 	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
+	railOf := perm.Identity(n)
+	d, ok := b.decompose(railOf, len(levels))
+	return d, railOf, ok
+}
 
+// decompose recovers the l-level reverse delta network on rails, a
+// set of 2^l rails closed under the partners of levels 0..l-2: the top
+// call gets every rail, and each call hands its sub-calls whole
+// components of those levels. On success it reorders rails in place
+// so that rails[s] is the rail of output slot s. A call reads only the
+// partner entries of its own rails, so it costs O(len(rails)·l).
+func (b *block) decompose(rails []int, l int) (*Network, bool) {
+	if l == 0 {
+		return Leaf(), true
+	}
+	m := len(rails)
+	for i, r := range rails {
+		b.pos[r] = i
+	}
+	scratch := make([]int, 5*m+1)
+	comp, color, start, byComp := scratch[:m], scratch[m:2*m], scratch[2*m:3*m+1], scratch[3*m+1:4*m+1]
+	roots := scratch[4*m+1 : 4*m+1] // at most m components; capacity m
+
+	// Union-find over positions in rails gives the components of the
+	// levels below the last; comp[i] ends as the root of position i.
+	for i := range comp {
+		comp[i] = i
+	}
+	find := func(x int) int {
+		for comp[x] != x {
+			comp[x] = comp[comp[x]]
+			x = comp[x]
+		}
+		return x
+	}
 	for li := 0; li < l-1; li++ {
-		for _, cm := range c.Level(li) {
-			a, b := cm.Min, cm.Max
-			if inSet[a] != inSet[b] {
-				return nil, nil, false
-			}
-			if inSet[a] {
-				union(a, b)
+		for i, r := range rails {
+			if p := b.partner[li][r]; p >= 0 {
+				comp[find(i)] = find(b.pos[p])
 			}
 		}
 	}
-
-	type edge struct{ a, b int }
-	var cross []edge
-	for _, cm := range c.Level(l - 1) {
-		a, b := cm.Min, cm.Max
-		if inSet[a] != inSet[b] {
-			return nil, nil, false
-		}
-		if !inSet[a] {
-			continue
-		}
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return nil, nil, false
-		}
-		cross = append(cross, edge{ra, rb})
+	for i := range comp {
+		comp[i] = find(i)
 	}
-
-	members := map[int][]int{}
-	for _, r := range rails {
-		members[find(r)] = append(members[find(r)], r)
+	// The rails of root x are byComp[start[x]:start[x+1]], in rail order.
+	for _, x := range comp {
+		start[x+1]++
 	}
-
-	color := map[int]int{}
-	adj := map[int][]int{}
-	for _, e := range cross {
-		adj[e.a] = append(adj[e.a], e.b)
-		adj[e.b] = append(adj[e.b], e.a)
+	for x := 0; x < m; x++ {
+		start[x+1] += start[x]
 	}
-	type group struct{ size0, size1 int }
+	next := color // borrowed as fill cursors until colouring starts
+	copy(next, start[:m])
+	for i, x := range comp {
+		byComp[next[x]] = rails[i]
+		next[x]++
+	}
+	members := func(x int) []int { return byComp[start[x]:start[x+1]] }
+
+	// The last level's comparators are edges between components, which
+	// must 2-colour (one inside a component is a self-loop and fails).
+	// Groups — connected parts of the component graph — are found in
+	// order of their first rail; roots lists each group's components in
+	// visiting order, and color is -1 until a component is visited.
+	last := b.partner[l-1]
+	for x := range color {
+		color[x] = -1
+	}
+	type group struct{ size0, size1, end int }
 	var groups []group
-	var groupRoots [][]int
-	visited := map[int]bool{}
-	for root := range members {
-		if visited[root] {
+	for _, root := range comp {
+		if color[root] >= 0 {
 			continue
 		}
 		g := group{}
-		var roots []int
-		queue := []int{root}
-		visited[root] = true
 		color[root] = 0
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			roots = append(roots, x)
+		roots = append(roots, root)
+		for q := len(roots) - 1; q < len(roots); q++ {
+			x := roots[q]
 			if color[x] == 0 {
-				g.size0 += len(members[x])
+				g.size0 += len(members(x))
 			} else {
-				g.size1 += len(members[x])
+				g.size1 += len(members(x))
 			}
-			for _, y := range adj[x] {
-				if !visited[y] {
-					visited[y] = true
+			for _, r := range members(x) {
+				p := last[r]
+				if p < 0 {
+					continue
+				}
+				if y := comp[b.pos[p]]; color[y] < 0 {
 					color[y] = 1 - color[x]
-					queue = append(queue, y)
+					roots = append(roots, y)
 				} else if color[y] == color[x] {
-					return nil, nil, false
+					return nil, false
 				}
 			}
 		}
+		g.end = len(roots)
 		groups = append(groups, g)
-		groupRoots = append(groupRoots, roots)
 	}
 
-	half := len(rails) / 2
+	half := m / 2
 	flips := make([]bool, len(groups))
 	var result *Network
-	var resultRails []int
 	var try func(i, side0 int) bool
 	try = func(i, side0 int) bool {
 		if side0 > half {
@@ -194,11 +214,11 @@ func decompose(c *network.Network, rails []int, l int) (*Network, []int, bool) {
 		}
 		rest := 0
 		for j := i; j < len(groups); j++ {
-			m := groups[j].size0
-			if groups[j].size1 > m {
-				m = groups[j].size1
+			most := groups[j].size0
+			if groups[j].size1 > most {
+				most = groups[j].size1
 			}
-			rest += m
+			rest += most
 		}
 		if side0+rest < half {
 			return false
@@ -207,52 +227,42 @@ func decompose(c *network.Network, rails []int, l int) (*Network, []int, bool) {
 			if side0 != half {
 				return false
 			}
-			var side [2][]int
-			for gi, roots := range groupRoots {
-				for _, root := range roots {
-					s := color[root]
+			// sides[:half] and sides[half:] are the sub-networks' rails.
+			sides := make([]int, m)
+			fill := [2]int{0, half}
+			gStart := 0
+			for gi, g := range groups {
+				for _, x := range roots[gStart:g.end] {
+					s := color[x]
 					if flips[gi] {
 						s = 1 - s
 					}
-					side[s] = append(side[s], members[root]...)
+					fill[s] += copy(sides[fill[s]:], members(x))
 				}
+				gStart = g.end
 			}
-			sub0, rails0, ok0 := decompose(c, side[0], l-1)
+			sub0, ok0 := b.decompose(sides[:half], l-1)
 			if !ok0 {
 				return false
 			}
-			sub1, rails1, ok1 := decompose(c, side[1], l-1)
+			sub1, ok1 := b.decompose(sides[half:], l-1)
 			if !ok1 {
 				return false
 			}
-			// Output-slot index of each rail within each sub-network.
-			slotOf := map[int]int{}
-			for s, r := range rails0 {
-				slotOf[r] = s
+			// The sub-calls are done with pos: reuse it for the output
+			// slot of each rail of sub1. Every last-level comparator
+			// joins a rail of each side (guaranteed above).
+			for s, r := range sides[half:] {
+				b.pos[r] = s
 			}
-			for s, r := range rails1 {
-				slotOf[r] = s
-			}
-			in1 := map[int]bool{}
-			for _, r := range rails1 {
-				in1[r] = true
-			}
-			var final []Comp
-			for _, cm := range c.Level(l - 1) {
-				if !inSet[cm.Min] {
-					continue
+			final := make([]Comp, 0, half)
+			for s, r := range sides[:half] {
+				if p := last[r]; p >= 0 {
+					final = append(final, Comp{O0: s, O1: b.pos[p], MinFirst: b.isMin[l-1][r]})
 				}
-				// One endpoint per side (guaranteed above).
-				r0, r1 := cm.Min, cm.Max
-				minFirst := true
-				if in1[r0] {
-					r0, r1 = r1, r0
-					minFirst = false
-				}
-				final = append(final, Comp{O0: slotOf[r0], O1: slotOf[r1], MinFirst: minFirst})
 			}
 			result = Combine(sub0, sub1, final)
-			resultRails = append(append([]int{}, rails0...), rails1...)
+			copy(rails, sides)
 			return true
 		}
 		flips[i] = false
@@ -263,7 +273,7 @@ func decompose(c *network.Network, rails []int, l int) (*Network, []int, bool) {
 		return try(i+1, side0+groups[i].size1)
 	}
 	if !try(0, 0) {
-		return nil, nil, false
+		return nil, false
 	}
-	return result, resultRails, true
+	return result, true
 }

@@ -11,9 +11,10 @@ import (
 // comparator crosses a bipartition above its level. Comparator
 // directions are irrelevant to the topology.
 //
-// The check runs a backtracking search over the bipartition choices
-// (the problem contains a balanced-2-coloring subproblem); it is
-// intended for the modest network widths used in tests and experiments.
+// The check is Decompose's: O(n·l²) on n = 2^l rails, plus a
+// backtracking search over the bipartition choices (the problem
+// contains a balanced-2-coloring subproblem), and its verdict depends
+// only on the circuit.
 func IsReverseDelta(c *network.Network) bool {
 	_, _, ok := Decompose(c)
 	return ok

@@ -43,7 +43,7 @@ func (c *Network) WriteText(w io.Writer) error {
 // style.
 func newLineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24) // grows from 4 KiB as lines need, up to 16 MiB
 	sc.Split(func(data []byte, atEOF bool) (advance int, token []byte, err error) {
 		for i := 0; i < len(data); i++ {
 			switch data[i] {

@@ -1,10 +1,55 @@
 package network
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 )
+
+// TestReadTextLongLines: the line buffer grows on demand, so a
+// 200 KiB level line still parses, and a line past the 16 MiB cap
+// still fails with bufio.ErrTooLong.
+func TestReadTextLongLines(t *testing.T) {
+	const n = 40000
+	c := New(n)
+	var lv Level
+	for w := 0; w < n; w += 2 {
+		lv = append(lv, Comparator{Min: w, Max: w + 1})
+	}
+	c.AddLevel(lv)
+	var buf bytes.Buffer
+	if err := c.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() < 200<<10 {
+		t.Fatalf("test network text is only %d bytes", buf.Len())
+	}
+	got, err := ReadText(&buf)
+	if err != nil {
+		t.Fatalf("200 KiB level line: %v", err)
+	}
+	if !got.Equal(c) {
+		t.Fatal("200 KiB level line parsed to a different network")
+	}
+
+	huge := io.MultiReader(strings.NewReader("wires 4\nlevel"), io.LimitReader(fill(' '), 1<<24+1))
+	if _, err := ReadText(huge); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line over 16 MiB: got %v, want bufio.ErrTooLong", err)
+	}
+}
+
+// fill is an endless reader of one byte value.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
 
 // TestReadTextLineEndings: the text parser must accept the line-ending
 // styles real HTTP clients produce — LF, CRLF, lone CR, trailing

@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"shufflenet/internal/netbuild"
 	"shufflenet/internal/network"
 	"shufflenet/internal/obs"
+	"shufflenet/internal/perm"
 )
 
 func netText(t testing.TB, c *network.Network) string {
@@ -375,6 +378,45 @@ func TestServeOptimalDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(cold, warm) || !bytes.Equal(cold, miss) || !bytes.Equal(cold, hit) {
 		t.Fatalf("bodies differ across cold/warm/miss/hit:\n%s\n%s\n%s\n%s", cold, warm, miss, hit)
+	}
+}
+
+// TestServeAdversaryDeterminism: /v1/adversary answers are a function
+// of the circuit — two uncached requests for one circuit, and one for
+// a spelling that lists each level's comparators in reverse (which
+// shares its cache key), return byte-identical bodies.
+func TestServeAdversaryDeterminism(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	const n, lgn = 64, 6
+	rng := rand.New(rand.NewSource(9))
+	it := delta.NewIterated(n)
+	it.AddBlock(nil, delta.Butterfly(lgn))
+	it.AddBlock(perm.Random(n, rng), delta.Random(lgn, 1.0, rng))
+	it.AddBlock(perm.Random(n, rng), delta.Butterfly(lgn))
+	circ, _ := it.ToNetwork()
+	respelled := network.New(n)
+	for _, lv := range circ.Levels() {
+		rev := append(network.Level{}, lv...)
+		slices.Reverse(rev)
+		respelled.AddLevel(rev)
+	}
+
+	var bodies [][]byte
+	for _, c := range []*network.Network{circ, circ, respelled} {
+		resp, raw := post(t, ts, "/v1/adversary", map[string]any{"network": netText(t, c), "nocache": true})
+		if resp.StatusCode != 200 {
+			t.Fatalf("adversary: %d %s", resp.StatusCode, raw)
+		}
+		bodies = append(bodies, raw)
+	}
+	var ar adversaryResponse
+	decode(t, bodies[0], &ar)
+	if ar.Blocks != 3 || ar.DSize < 1 {
+		t.Fatalf("adversary: unexpected answer %s", bodies[0])
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) || !bytes.Equal(bodies[0], bodies[2]) {
+		t.Fatalf("bodies differ between requests:\n%s\n%s\n%s", bodies[0], bodies[1], bodies[2])
 	}
 }
 
