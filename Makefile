@@ -165,11 +165,16 @@ coord-smoke:
 	grep -q 'witness verified against the circuit' /tmp/coord_smoke_out.txt
 	@echo "coord-smoke: ok"
 
-# Short fuzz pass over the parsers / compiled-kernel round trip, the
-# Sort and batch façades vs slices.Sort differentials, and the
-# reverse-delta decomposer vs its map-based oracle.
+# Short fuzz pass over the text/register/DOT parsers and the
+# compiled-kernel round trip, the canonical-form relabelling, the Sort
+# and batch façades vs slices.Sort differentials, and the reverse-delta
+# decomposer vs its map-based oracle.
 fuzz:
+	$(GO) test ./internal/network/ -run FuzzReadText -fuzz FuzzReadText -fuzztime 20s
+	$(GO) test ./internal/network/ -run FuzzReadRegisterText -fuzz FuzzReadRegisterText -fuzztime 20s
+	$(GO) test ./internal/network/ -run FuzzReadDOT -fuzz FuzzReadDOT -fuzztime 20s
 	$(GO) test ./internal/network/ -run FuzzCompileEval -fuzz FuzzCompileEval -fuzztime 20s
+	$(GO) test ./internal/core/ -run FuzzCanonicalRelabel -fuzz FuzzCanonicalRelabel -fuzztime 20s
 	$(GO) test . -run FuzzSortT -fuzz FuzzSortT -fuzztime 20s
 	$(GO) test . -run FuzzSortBatch -fuzz FuzzSortBatch -fuzztime 20s
 	$(GO) test ./internal/delta/ -run FuzzDecompose -fuzz FuzzDecompose -fuzztime 20s

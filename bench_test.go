@@ -433,7 +433,9 @@ func BenchmarkBenesRouting(b *testing.B) {
 }
 
 // BenchmarkHalverEpsilon measures exact ε computation (2^16 inputs):
-// the bit-sliced kernel vs. the retained scalar oracle.
+// the bit-sliced kernel vs. the retained scalar oracle, plus the
+// bit-sliced kernel at n = 22 (2^22 inputs), the largest halver the
+// perfbench lab workload verifies.
 func BenchmarkHalverEpsilon(b *testing.B) {
 	c := halver.CrossMatchings(16, 4, rand.New(rand.NewSource(10)))
 	b.Run("bits", func(b *testing.B) {
@@ -447,6 +449,13 @@ func BenchmarkHalverEpsilon(b *testing.B) {
 			halver.EpsilonScalar(c, 0)
 		}
 		reportInputsPerSec(b, 1<<16)
+	})
+	c22 := halver.CrossMatchings(22, 4, rand.New(rand.NewSource(10)))
+	b.Run("bits-n22", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			halver.Epsilon(c22, 0)
+		}
+		reportInputsPerSec(b, 1<<22)
 	})
 }
 

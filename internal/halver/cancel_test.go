@@ -65,3 +65,30 @@ func TestEpsilonCtxDeadlineMidScan(t *testing.T) {
 		t.Fatalf("MasksChecked = %d, want a proper partial count", ce.MasksChecked)
 	}
 }
+
+// TestEpsilonCtxPartialIsLowerBound: the value a canceled scan returns
+// covers only completed chunks, so it can never exceed the true ε.
+// Deadlines from a fraction of a scan to about a whole one exercise
+// both outcomes of the race; a completed scan must be exact.
+func TestEpsilonCtxPartialIsLowerBound(t *testing.T) {
+	c := CrossMatchings(22, 2, rand.New(rand.NewSource(5)))
+	full := Epsilon(c, 0)
+	for _, d := range []time.Duration{100 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond, 8 * time.Millisecond} {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		eps, err := EpsilonCtx(ctx, c, 0)
+		cancel()
+		if err == nil {
+			if eps != full {
+				t.Errorf("deadline %v: completed scan eps = %v, want %v", d, eps, full)
+			}
+			continue
+		}
+		var ce *par.ErrCanceled
+		if !errors.As(err, &ce) {
+			t.Fatalf("deadline %v: error = %v, want ErrCanceled", d, err)
+		}
+		if eps < 0 || eps > full {
+			t.Errorf("deadline %v: partial eps = %v after %d masks, want within [0, %v]", d, eps, ce.MasksChecked, full)
+		}
+	}
+}

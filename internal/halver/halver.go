@@ -71,9 +71,9 @@ const MaxEpsilonWires = 28
 // Epsilon returns the exact halving quality of the network: the
 // smallest ε such that c is an ε-halver, computed by exhausting all
 // 2^n 0-1 inputs in parallel on the bit-sliced kernel: 64 masks per
-// block, with the per-lane misplacement counts (ones in the lower
-// half, zeros in the upper half) accumulated in vertical bit-plane
-// counters rather than per-mask loops. A perfect halver has ε = 0; a
+// block, with the per-lane count of ones left in the lower half
+// accumulated in vertical bit-plane counters and reduced per weight
+// class (see EpsilonCtx). A perfect halver has ε = 0; a
 // network that does nothing has ε = 1. n must be at most
 // MaxEpsilonWires. EpsilonScalar is the differential-test oracle.
 func Epsilon(c *network.Network, workers int) float64 {
@@ -83,9 +83,21 @@ func Epsilon(c *network.Network, workers int) float64 {
 
 // EpsilonCtx is Epsilon under a context. Cancellation is observed once
 // per worker chunk. On cancellation the returned value is the maximum
-// misplacement ratio over the masks settled so far — a valid *lower*
-// bound on the true ε (ε can only grow as more masks are seen) — and
-// the *par.ErrCanceled reports how many masks were settled.
+// misplacement ratio over the chunks completed so far — a valid
+// *lower* bound on the true ε (ε can only grow as more masks are seen)
+// — and the *par.ErrCanceled reports how many masks were settled.
+//
+// No lane is read out one at a time. Lane j of block b carries the
+// mask 64b+j, whose weight is popcount(b)+popcount(j), so the lanes of
+// a block fall into seven weight classes, one per popcount(j). Within
+// a class one count settles both halving conditions: a weight-w mask
+// that leaves c ones on the lower half leaves m-(w-c) zeros on the
+// upper half. So for each class the kernel takes only the bit-sliced
+// maximum of one vertical counter (planeMax), and each worker keeps
+// the integer maximum misplacement per k = 1..m. The ratios are formed
+// once per k when the chunk ends: the largest of count/k over masks of
+// one k is max(count)/k, the same float division the per-mask
+// definition makes, so ε is exact and equal to EpsilonScalar's.
 func EpsilonCtx(ctx context.Context, c *network.Network, workers int) (float64, error) {
 	n := c.Wires()
 	if n > MaxEpsilonWires {
@@ -98,53 +110,52 @@ func EpsilonCtx(ctx context.Context, c *network.Network, workers int) (float64, 
 	prog := c.Compile()
 	blocks, laneMask := network.ZeroOneBlocks(n)
 	lanes := mathbits.OnesCount64(laneMask)
+	classes := laneClass
+	for i := range classes {
+		classes[i] &= laneMask
+	}
 	var mu sync.Mutex
 	eps := 0.0
 	var scanned int64
 	cerr := par.ForEachChunkCtx(ctx, blocks, workers, func(lo, hi int) {
 		bb := network.NewBitBatch(prog)
 		defer bb.FlushMetrics()
-		local := 0.0
+		// worst[k]: the most of the k largest values (the ones of a
+		// weight-k mask) left on the lower half, or of the k smallest
+		// (the zeros of a weight-(n-k) mask) left on the upper half.
+		var worst [MaxEpsilonWires/2 + 1]int
 		for b := lo; b < hi; b++ {
 			bb.LoadBlock(uint64(b))
 			out := bb.Eval()
-			// Vertical counters: plane p of low[ ] holds bit p of the
-			// per-lane count of ones on the lower-half wires; highZ
-			// likewise counts zeros on the upper-half wires. m <= 14 <
+			// Vertical counter: plane p of low[ ] holds bit p of the
+			// per-lane count of ones on the lower-half wires. m <= 14 <
 			// 2^5, so five planes cannot overflow.
-			var low, highZ [5]uint64
+			var low [5]uint64
 			for i := 0; i < m; i++ {
 				addPlane(&low, out[i])
 			}
-			for i := m; i < n; i++ {
-				addPlane(&highZ, ^out[i])
-			}
-			base := uint64(b) * 64
-			for j := 0; j < lanes; j++ {
-				ones := mathbits.OnesCount64(base + uint64(j))
-				if ones == 0 || ones == n {
+			weight := mathbits.OnesCount64(uint64(b))
+			for pc, cls := range classes {
+				ones := weight + pc
+				if cls == 0 || ones == 0 || ones == n {
 					continue
 				}
-				// k largest = the `ones` 1-values; misplaced = ones in
-				// the lower half. Meaningful when ones <= m.
+				top := planeMax(&low, cls)
 				if ones <= m {
-					if r := float64(planeCount(&low, j)) / float64(ones); r > local {
-						local = r
-					}
+					worst[ones] = max(worst[ones], top)
 				}
-				// k smallest = the zeros; misplaced = zeros in the
-				// upper half. Meaningful when zeros <= m.
 				if zeros := n - ones; zeros <= m {
-					if r := float64(planeCount(&highZ, j)) / float64(zeros); r > local {
-						local = r
-					}
+					// ones-top ones went high, so m-(ones-top) zeros did.
+					worst[zeros] = max(worst[zeros], top-(ones-m))
 				}
 			}
 		}
-		mu.Lock()
-		if local > eps {
-			eps = local
+		local := 0.0
+		for k := 1; k <= m; k++ {
+			local = max(local, float64(worst[k])/float64(k))
 		}
+		mu.Lock()
+		eps = max(eps, local)
 		mu.Unlock()
 		atomic.AddInt64(&scanned, int64(hi-lo))
 	})
@@ -164,6 +175,15 @@ func EpsilonCtx(ctx context.Context, c *network.Network, workers int) (float64, 
 	return eps, nil
 }
 
+// laneClass[p] holds the lanes j of a 64-lane block with
+// popcount(j) = p: within one block, the lanes of equal weight.
+var laneClass = func() (cls [7]uint64) {
+	for j := 0; j < 64; j++ {
+		cls[mathbits.OnesCount(uint(j))] |= 1 << uint(j)
+	}
+	return cls
+}()
+
 // addPlane ripple-carry adds one bit per lane (the set bits of w) into
 // the vertical counter planes.
 func addPlane(planes *[5]uint64, w uint64) {
@@ -174,13 +194,19 @@ func addPlane(planes *[5]uint64, w uint64) {
 	}
 }
 
-// planeCount reads lane j's count back out of the vertical planes.
-func planeCount(planes *[5]uint64, j int) int {
-	c := 0
-	for i := 0; i < len(planes); i++ {
-		c |= int(planes[i]>>uint(j)&1) << uint(i)
+// planeMax returns the largest count the vertical planes hold in any
+// lane of cand (cand != 0). It walks the planes from the top bit down,
+// narrowing cand to the lanes that have the bit whenever any of them
+// does.
+func planeMax(planes *[5]uint64, cand uint64) int {
+	v := 0
+	for i := len(planes) - 1; i >= 0; i-- {
+		if t := cand & planes[i]; t != 0 {
+			cand = t
+			v |= 1 << uint(i)
+		}
 	}
-	return c
+	return v
 }
 
 // EpsilonScalar computes Epsilon by scalar enumeration (one Eval per

@@ -148,17 +148,23 @@ func TestGuards(t *testing.T) {
 
 // TestEpsilonBitsMatchesScalar: the bit-sliced Epsilon and the scalar
 // oracle must agree exactly (identical float divisions, max over the
-// same set) across random cross-matchings, cascades, and degenerate
-// networks.
+// same set) across random cross-matchings of every even width up to
+// 18 — including the n < 6 widths, whose one block has a short lane
+// mask, and the empty network (passes = 0, ε = 1) — at every worker
+// count, and across cascades.
 func TestEpsilonBitsMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{2, 4, 6, 8, 12, 16} {
-		for passes := 0; passes <= 4; passes++ {
+	for n := 2; n <= 18; n += 2 {
+		for passes := 0; passes <= 5; passes++ {
 			c := CrossMatchings(n, passes, rng)
-			got := Epsilon(c, 0)
 			want := EpsilonScalar(c, 0)
-			if got != want {
-				t.Errorf("CrossMatchings(n=%d, passes=%d): Epsilon %v != scalar %v", n, passes, got, want)
+			if passes == 0 && want != 1 {
+				t.Errorf("empty network on n=%d: scalar eps = %v, want 1", n, want)
+			}
+			for _, w := range []int{1, 2, 4} {
+				if got := Epsilon(c, w); got != want {
+					t.Errorf("CrossMatchings(n=%d, passes=%d), workers=%d: Epsilon %v != scalar %v", n, passes, w, got, want)
+				}
 			}
 		}
 	}
@@ -170,12 +176,28 @@ func TestEpsilonBitsMatchesScalar(t *testing.T) {
 			t.Errorf("Cascade(n=%d): Epsilon %v != scalar %v", n, got, want)
 		}
 	}
-	// Workers must not change the result.
-	c := CrossMatchings(12, 3, rng)
-	want := EpsilonScalar(c, 1)
-	for _, w := range []int{1, 2, 4} {
-		if got := Epsilon(c, w); got != want {
-			t.Errorf("workers=%d: Epsilon %v != scalar %v", w, got, want)
+}
+
+// TestEpsilonPinnedLarge pins the exact ε of four-pass cross-matchings
+// at n = 20 and 22, where the scalar oracle is too slow to run. The
+// literals were recorded from the per-lane reduction that preceded the
+// weight-class one, so any change in a float division shows here.
+func TestEpsilonPinnedLarge(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		seed int64
+		want float64
+	}{
+		{20, 1, 0.4},
+		{20, 2, 0.3333333333333333},
+		{22, 1, 0.36363636363636365},
+		{22, 2, 0.375},
+	} {
+		c := CrossMatchings(tc.n, 4, rand.New(rand.NewSource(tc.seed)))
+		for _, w := range []int{1, 2} {
+			if got := Epsilon(c, w); got != tc.want {
+				t.Errorf("CrossMatchings(%d, 4, seed %d), workers=%d: eps = %v, want %v", tc.n, tc.seed, w, got, tc.want)
+			}
 		}
 	}
 }

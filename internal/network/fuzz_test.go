@@ -48,6 +48,7 @@ func FuzzReadRegisterText(f *testing.F) {
 	f.Add("registers 4\r\nstep ++ pi shuffle\r\nstep .\r\n") // CRLF
 	f.Add("registers 4\rstep ++\r")                          // lone CR
 	f.Add("registers 4  \nstep ++ pi 3 2 1 0 \n")            // trailing whitespace
+	f.Add("registers 1073741824\nstep . pi shuffle\n")       // over MaxTextRegisters
 	f.Fuzz(func(t *testing.T, src string) {
 		r, err := ReadRegisterText(strings.NewReader(src))
 		if err != nil {

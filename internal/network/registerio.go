@@ -60,9 +60,16 @@ func (r *Register) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
+// MaxTextRegisters bounds the register count ReadRegisterText accepts.
+// A "pi shuffle" step allocates a permutation of every register from a
+// line of a few bytes, so without a bound a tiny input could make the
+// parser, and FromRegister after it, allocate gigabytes.
+const MaxTextRegisters = 1 << 16
+
 // ReadRegisterText parses the format written by Register.WriteText.
 // Lines may end in "\n", "\r\n", or a lone "\r", and may carry trailing
-// whitespace; parse errors report 1-based line numbers.
+// whitespace; parse errors report 1-based line numbers. The register
+// count must be at most MaxTextRegisters.
 func ReadRegisterText(rd io.Reader) (*Register, error) {
 	sc := newLineScanner(rd)
 	var reg *Register
@@ -85,6 +92,9 @@ func ReadRegisterText(rd io.Reader) (*Register, error) {
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n < 2 || n%2 != 0 {
 				return nil, fmt.Errorf("line %d: bad register count %q", lineNo, fields[1])
+			}
+			if n > MaxTextRegisters {
+				return nil, fmt.Errorf("line %d: register count %d exceeds %d", lineNo, n, MaxTextRegisters)
 			}
 			reg = NewRegister(n)
 		case "step":

@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -80,11 +81,17 @@ func TestReadRegisterTextErrors(t *testing.T) {
 		"registers 4\nstep ++ pi 0 0 1 2\n", // invalid perm
 		"registers 4\nstep ++ rho 1\n",      // unknown token
 		"registers 4\nbogus\n",
+		fmt.Sprintf("registers %d\n", MaxTextRegisters+2),
+		"registers 1073741824\nstep . pi shuffle\n", // would allocate 8 GiB
 	}
 	for _, src := range bad {
 		if _, err := ReadRegisterText(strings.NewReader(src)); err == nil {
 			t.Errorf("accepted %q", src)
 		}
+	}
+	atCap := fmt.Sprintf("registers %d\nstep . pi shuffle\n", MaxTextRegisters)
+	if _, err := ReadRegisterText(strings.NewReader(atCap)); err != nil {
+		t.Errorf("rejected %q: %v", atCap, err)
 	}
 }
 

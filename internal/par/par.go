@@ -125,6 +125,7 @@ func ForEachGrainCtx(ctx context.Context, n, workers, grain int, body func(i int
 		return nil
 	}
 	var wg sync.WaitGroup
+	var abandoned atomic.Bool
 	chunk := (n + w - 1) / w
 	metChunks.Add(int64((n + chunk - 1) / chunk))
 	metWorkers.Set(int64(w))
@@ -137,6 +138,7 @@ func ForEachGrainCtx(ctx context.Context, n, workers, grain int, body func(i int
 			defer workerExit()
 			for ; lo < hi; lo += grain {
 				if canceled(done) {
+					abandoned.Store(true)
 					return
 				}
 				stop := min(lo+grain, hi)
@@ -147,11 +149,7 @@ func ForEachGrainCtx(ctx context.Context, n, workers, grain int, body func(i int
 		}(lo, hi)
 	}
 	wg.Wait()
-	if canceled(done) {
-		metCanceled.Inc()
-		return ctx.Err()
-	}
-	return nil
+	return abandonedErr(ctx, &abandoned)
 }
 
 // ForEachChunk invokes body(lo, hi) for a partition of [0, n) into
@@ -212,6 +210,7 @@ func forEachChunk(ctx context.Context, n, workers, grain int, body func(lo, hi i
 		return nil
 	}
 	var wg sync.WaitGroup
+	var abandoned atomic.Bool
 	chunk := (n + w - 1) / w
 	metChunks.Add(int64((n + chunk - 1) / chunk))
 	metWorkers.Set(int64(w))
@@ -228,6 +227,7 @@ func forEachChunk(ctx context.Context, n, workers, grain int, body func(lo, hi i
 			}
 			for ; lo < hi; lo += grain {
 				if canceled(done) {
+					abandoned.Store(true)
 					return
 				}
 				body(lo, min(lo+grain, hi))
@@ -235,11 +235,19 @@ func forEachChunk(ctx context.Context, n, workers, grain int, body func(lo, hi i
 		}(lo, hi)
 	}
 	wg.Wait()
-	if canceled(done) {
-		metCanceled.Inc()
-		return ctx.Err()
+	return abandonedErr(ctx, &abandoned)
+}
+
+// abandonedErr is the parallel loops' verdict once every worker has
+// returned: ctx.Err() if some worker abandoned a piece, nil otherwise.
+// A cancel that lands after the last piece has run leaves nothing
+// unvisited, so it is not reported.
+func abandonedErr(ctx context.Context, abandoned *atomic.Bool) error {
+	if !abandoned.Load() {
+		return nil
 	}
-	return nil
+	metCanceled.Inc()
+	return ctx.Err()
 }
 
 // FindCtx searches [0, n) in parallel for an index satisfying pred and
@@ -353,6 +361,7 @@ func SumInt64Ctx(ctx context.Context, n, workers int, f func(i int) int64) (int6
 	}
 	partial := make([]int64, w)
 	var wg sync.WaitGroup
+	var abandoned atomic.Bool
 	chunk := (n + w - 1) / w
 	metChunks.Add(int64((n + chunk - 1) / chunk))
 	metWorkers.Set(int64(w))
@@ -367,6 +376,7 @@ func SumInt64Ctx(ctx context.Context, n, workers int, f func(i int) int64) (int6
 			var s int64
 			for ; lo < hi; lo += minParallel {
 				if canceled(done) {
+					abandoned.Store(true)
 					break
 				}
 				stop := min(lo+minParallel, hi)
@@ -383,9 +393,5 @@ func SumInt64Ctx(ctx context.Context, n, workers int, f func(i int) int64) (int6
 	for _, s := range partial {
 		total += s
 	}
-	if canceled(done) {
-		metCanceled.Inc()
-		return total, ctx.Err()
-	}
-	return total, nil
+	return total, abandonedErr(ctx, &abandoned)
 }

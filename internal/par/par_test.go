@@ -303,3 +303,39 @@ func TestFindCtxCancelKeepsHit(t *testing.T) {
 		t.Fatalf("hit = %d, want 3", got)
 	}
 }
+
+// TestCtxCancelAfterLastIndexIsNil: a cancel that lands after every
+// index has been visited abandons nothing, so the parallel loops must
+// report success. The body cancels right after the last visit; no
+// worker probes again before it returns, so the outcome is
+// deterministic.
+func TestCtxCancelAfterLastIndexIsNil(t *testing.T) {
+	const (
+		workers = 4
+		n       = 4*minParallel + 3
+	)
+	// lastVisit returns a context and a hook that counts visits and
+	// cancels the context once all n indices are in.
+	lastVisit := func() (context.Context, func(k int64)) {
+		ctx, cancel := context.WithCancel(context.Background())
+		var visited int64
+		return ctx, func(k int64) {
+			if atomic.AddInt64(&visited, k) == n {
+				cancel()
+			}
+		}
+	}
+
+	ctx, visit := lastVisit()
+	if err := ForEachGrainCtx(ctx, n, workers, 64, func(i int) { visit(1) }); err != nil {
+		t.Errorf("ForEachGrainCtx = %v after visiting every index, want nil", err)
+	}
+	ctx, visit = lastVisit()
+	if err := ForEachChunkCtx(ctx, n, workers, func(lo, hi int) { visit(int64(hi - lo)) }); err != nil {
+		t.Errorf("ForEachChunkCtx = %v after visiting every index, want nil", err)
+	}
+	ctx, visit = lastVisit()
+	if s, err := SumInt64Ctx(ctx, n, workers, func(i int) int64 { visit(1); return 1 }); err != nil || s != n {
+		t.Errorf("SumInt64Ctx = (%d, %v) after visiting every index, want (%d, nil)", s, err, n)
+	}
+}
